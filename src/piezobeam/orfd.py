@@ -22,10 +22,10 @@ floating point, not just O(h^2).
 
 Two first-order generators are assembled, similar to each other and so with
 the same eigenvalues.  A_op acts on the nodal state [v, p, v_dot, p_dot]; it
-drives time stepping and modal propagation.  Its blocks mix the scales of
-M^-1 A_h and C1^-1 C2, so for realistic constants it has norm ~3e26 and an
-eigenvector condition ~1e13, and a dense eigensolve of it loses about three
-digits (how many depends on the BLAS blocking, hence on the thread count).
+drives time stepping.  Its blocks mix the scales of M^-1 A_h and C1^-1 C2,
+so for realistic constants it has norm ~3e26 and an eigenvector condition
+~1e13, and a dense eigensolve of it loses about three digits (how many
+depends on the BLAS blocking, hence on the thread count).
 A_E acts on the energy coordinates
 
     z = [L_A^T y; L_M^T u],   C1 (x) M = L_M L_M^T,   C2 (x) A_h = L_A L_A^T
@@ -37,7 +37,9 @@ discrete energy is (h/2) |z|^2 and
 
 D is positive semidefinite of rank <= 2 (tip damping only), so
 A_E + A_E^T <= 0 holds by construction and the eigenvectors are well
-conditioned; every eigenvalue analysis runs on A_E.
+conditioned; every eigenvalue analysis and the modal propagation run on A_E.
+to_energy_coords and from_energy_coords map nodal states to z and back with
+the small Cholesky factors L_m, L_Ah and L_C2.
 """
 
 from __future__ import annotations
@@ -94,23 +96,61 @@ class OrfdSystem:
         A_op[2 * n:, 2 * n:] = -np.kron(np.linalg.solve(self.C1, self.C3), Minv_B)
         return A_op
 
+    # The Cholesky factor of a Kronecker product is the product of the
+    # factors: L_M = sqrt(C1) (x) L_m with C1 diagonal, L_A = L_C2 (x) L_Ah.
+    @cached_property
+    def L_m(self) -> np.ndarray:
+        """Lower Cholesky factor of M."""
+        return np.linalg.cholesky(self.M_mat)
+
+    @cached_property
+    def L_Ah(self) -> np.ndarray:
+        """Lower Cholesky factor of A_h."""
+        return np.linalg.cholesky(self.Ah_mat)
+
+    @cached_property
+    def L_C2(self) -> np.ndarray:
+        """Lower Cholesky factor of C2."""
+        return np.linalg.cholesky(self.C2)
+
     @cached_property
     def A_E(self) -> np.ndarray:
         """Generator on the energy coordinates z (module docstring)."""
-        # The Cholesky factor of a Kronecker product is the product of the
-        # factors: L_M = sqrt(C1) (x) L_m with C1 diagonal, L_A = L_C2 (x) L_Ah.
-        # With B = b b^T, b = e_{N+1} / sqrt(h), and t = L_m^-1 b this gives
+        # With B = b b^T, b = e_{N+1} / sqrt(h), and t = L_m^-1 b:
         # G = (C1^-1/2 L_C2) (x) (L_m^-1 L_Ah) and D = (C1^-1 C3) (x) t t^T.
         n = self.n_nodes
-        L_m = np.linalg.cholesky(self.M_mat)
-        G = np.kron(np.linalg.cholesky(self.C2) / np.sqrt(np.diag(self.C1))[:, None],
-                    sla.solve_triangular(L_m, np.linalg.cholesky(self.Ah_mat), lower=True))
-        t = sla.solve_triangular(L_m, np.sqrt(self.B_mat[:, -1]), lower=True)
+        G = np.kron(self.L_C2 / np.sqrt(np.diag(self.C1))[:, None],
+                    sla.solve_triangular(self.L_m, self.L_Ah, lower=True))
+        t = sla.solve_triangular(self.L_m, np.sqrt(self.B_mat[:, -1]), lower=True)
         A_E = np.zeros((4 * n, 4 * n))
         A_E[: 2 * n, 2 * n:] = G.T
         A_E[2 * n:, : 2 * n] = -G
         A_E[2 * n:, 2 * n:] = -np.kron(np.linalg.solve(self.C1, self.C3), np.outer(t, t))
         return A_E
+
+    def to_energy_coords(self, states: np.ndarray) -> np.ndarray:
+        """z = [L_A^T y; L_M^T u] of nodal states, shape (..., 4(N+1))."""
+        n = self.n_nodes
+        s = np.asarray(states, dtype=float).reshape(-1, 4, n)
+        zy = self.L_C2.T @ s[:, :2] @ self.L_Ah
+        zu = np.sqrt(np.diag(self.C1))[:, None] * (s[:, 2:] @ self.L_m)
+        return np.concatenate([zy, zu], axis=1).reshape(np.shape(states))
+
+    def from_energy_coords(self, z: np.ndarray) -> np.ndarray:
+        """Nodal states [y; u] of energy coordinates z, shape (..., 4(N+1))."""
+        n = self.n_nodes
+        z = np.asarray(z, dtype=float)
+        blocks = z.reshape(-1, 4, n)
+        # y = L_C2^-T Zy L_Ah^-1 and u = C1^-1/2 Zu L_m^-1
+        y = np.linalg.solve(self.L_C2.T, _solve_right(self.L_Ah, blocks[:, :2]))
+        u = _solve_right(self.L_m, blocks[:, 2:]) / np.sqrt(np.diag(self.C1))[:, None]
+        return np.concatenate([y, u], axis=1).reshape(z.shape)
+
+
+def _solve_right(L: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X L^-1 for lower triangular L, applied to the last axis of X."""
+    rows = X.reshape(-1, X.shape[-1])
+    return sla.solve_triangular(L, rows.T, lower=True, trans="T").T.reshape(X.shape)
 
 
 @dataclass(frozen=True)

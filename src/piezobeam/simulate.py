@@ -11,10 +11,13 @@ Two propagators:
   w*dt >> 1.  A warning is emitted when dt leaves the fastest mode
   unresolved.
 * `modal_trace` -- exact propagation of the semi-discrete flow through the
-  eigendecomposition of the generator.  dt-free; the sample times only decide
-  where the trace is evaluated.  This is the reference for stiff amplifier
-  pairs (realistic constants put the fastest mode near 1e13 rad/s, far beyond
-  any feasible midpoint step).
+  eigendecomposition of the generator A_E in energy coordinates (see `orfd`).
+  dt-free; the sample times only decide where the trace is evaluated.  This
+  is the reference for stiff amplifier pairs (realistic constants put the
+  fastest mode near 1e13 rad/s, far beyond any feasible midpoint step).
+  A_E + A_E^T <= 0 and its eigenbasis is well conditioned, so the sampled
+  energy (h/2)|z|^2 is monotone in time and the trace agrees across BLAS
+  thread counts to roundoff.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from .orfd import OrfdSystem, StateVector, discrete_energy
 
 # Ratio of E_h(0) used as the positivity floor when fitting log-energy.
 ENERGY_FLOOR_ULPS = 1e3 * np.finfo(float).eps
+
+# Memory one modal_trace call may take for its eigenbasis and sample arrays.
+MODAL_MEMORY_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -187,38 +193,67 @@ def modal_trace(sys: OrfdSystem, state0: StateVector | np.ndarray, T: float,
                 samples: int = 2001, keep_states: bool = False) -> IntegrationResult:
     """Exact semi-discrete flow sampled at `samples` points of [0, T].
 
-    One dense eigendecomposition; any stiffness is fine.  Sampled energies
-    carry eigenbasis roundoff of order 1e-7 * E(0) for strongly nonnormal
-    amplifier pairs, so tiny upward wiggles between samples are expected.
+    Propagates the energy coordinates z (see `orfd`) through one dense
+    eigendecomposition of the dissipative generator A_E; any stiffness is
+    fine.  The eigenbasis is well conditioned, so the sampled energy
+    (h/2) |z|^2 is monotone in time up to roundoff.  Energies and tip rates
+    are read from z; nodal states are recovered for final_state and, with
+    keep_states, for every sample.  Requests whose arrays would exceed
+    MODAL_MEMORY_BYTES are refused before anything is allocated.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"T must be positive, got {T!r}")
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples!r}")
+    if not (isinstance(samples, (int, np.integer)) and samples >= 2):
+        raise DomainError(f"need an integer number of samples >= 2, got {samples!r}")
     flat = state0.flat if isinstance(state0, StateVector) else np.asarray(state0, float)
     n = sys.N + 1
     if flat.shape != (4 * n,):
         raise DomainError(f"state has shape {flat.shape}, expected ({4 * n},)")
+    # A_E and its eigenbasis take ~6 dense 4n x 4n blocks, z one row of 4n
+    # doubles per sample, and the nodal states of keep_states ~4 more.
+    need = 8 * 4 * n * (6 * 4 * n + (1 + 4 * bool(keep_states)) * int(samples))
+    if need > MODAL_MEMORY_BYTES:
+        raise DomainError(
+            f"modal trace at N={sys.N} with {samples} samples needs about "
+            f"{need / 2**20:.0f} MiB, over the {MODAL_MEMORY_BYTES / 2**20:.0f} MiB "
+            "budget; request fewer samples")
 
-    lam, V = np.linalg.eig(sys.A_op)
-    coeff = np.linalg.solve(V, flat.astype(complex))
+    lam, V = np.linalg.eig(sys.A_E)
+    # A_E is real, so its eigenpairs are closed under conjugation: keep
+    # Im >= 0 and let each strictly complex pair contribute 2 Re(c v e^(lam t)).
+    keep = lam.imag >= 0.0
+    lam, V = lam[keep], V[:, keep]
+    cplx = lam.imag > 0.0
+    # Real basis W = [Re V, Im V[:, cplx]]: z0 = W [a; b] is one real solve,
+    # and c = a - i b gives z(t) = Re(V (c e^(lam t))) = W [Re p; -Im p[cplx]].
+    basis = np.hstack([V.real, V.imag[:, cplx]])
+    ab = np.linalg.solve(basis, sys.to_energy_coords(flat))
+    coeff = ab[: lam.size].astype(complex)
+    coeff.imag[cplx] = -ab[lam.size:]
     if not (np.all(np.isfinite(lam.view(float))) and np.all(np.isfinite(coeff.view(float)))):
         raise RuntimeError("eigendecomposition of the generator produced non-finite data")
 
+    # Sample i*K + j of the linspace grid has the phases
+    # exp(lam (i K dt)) * exp(lam (j dt)); one block of K samples at a time
+    # keeps the complex phases small.
     times = np.linspace(0.0, T, samples)
-    # states[:, k] = V @ (coeff * exp(lam * t_k)), evaluated in one gemm
-    phases = np.exp(np.outer(lam, times)) * coeff[:, None]
-    states = np.real(V @ phases).T  # (samples, 4n)
+    dt = T / (samples - 1)
+    K = math.isqrt(samples - 1) + 1
+    fine = np.exp(np.outer(np.arange(K) * dt, lam)) * coeff
+    z = np.empty((samples, 4 * n))
+    for start in range(0, samples, K):
+        p = np.exp(lam * (start * dt)) * fine[: samples - start]
+        z[start:start + K] = np.hstack([p.real, -p.imag[:, cplx]]) @ basis.T
 
-    energies = np.empty(samples)
-    for k in range(samples):
-        energies[k] = discrete_energy(sys, states[k])
+    energies = 0.5 * sys.h * np.einsum("ij,ij->i", z, z)
+    # u = C1^-1/2 Zu L_m^-1 and L_m is lower triangular, so the tip entry of
+    # each rate block is its z entry over sqrt(c_a) L_m[N, N]
+    tip = z[:, [3 * n - 1, 4 * n - 1]] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[-1, -1])
     trace = EnergyTrace(times=times, energies=energies,
-                        boundary_v_dot=states[:, 3 * n - 1],
-                        boundary_p_dot=states[:, 4 * n - 1])
+                        boundary_v_dot=tip[:, 0], boundary_p_dot=tip[:, 1])
     return IntegrationResult(trace=trace,
-                             final_state=StateVector.from_flat(states[-1]),
-                             states=states if keep_states else None)
+                             final_state=StateVector.from_flat(sys.from_energy_coords(z[-1])),
+                             states=sys.from_energy_coords(z) if keep_states else None)
 
 
 def fit_decay(trace: EnergyTrace, window: tuple[float, float] = (0.1, 0.9)) -> DecayFit:

@@ -187,6 +187,16 @@ def test_simulate_modal_row_count(tmp_path, capsys):
     assert json.loads(out)["samples"] == 51
 
 
+def test_simulate_modal_rejects_oversized_sample_count(tmp_path, capsys):
+    out_csv = tmp_path / "modal.csv"
+    code, _, err = _run(capsys, "simulate", "--method", "modal", "--N", "8",
+                        "--samples", str(10**12), "--out", str(out_csv),
+                        "--outdir", str(tmp_path))
+    assert code == 1
+    assert "needs about" in err and "MiB" in err and "Traceback" not in err
+    assert not out_csv.exists()
+
+
 def test_simulate_dump_matrices_round_trip(tmp_path, capsys, toy):
     cfg = _toy_cfg(tmp_path, toy)
     code, _, _ = _run(capsys, "simulate", "--config", str(cfg),

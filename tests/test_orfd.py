@@ -46,7 +46,8 @@ def test_generator_blocks_match_reference(toy):
 
 def test_energy_generator_matches_definition(table1, toy):
     # z = S x with S = diag(L_A^T, L_M^T) from the full-size Cholesky factors:
-    # A_E S = S A_op, E_h = (h/2)|z|^2, and A_E + A_E^T <= 0
+    # A_E S = S A_op, E_h = (h/2)|z|^2, A_E + A_E^T <= 0, and the blockwise
+    # maps to and from z agree with S and its inverse
     rng = np.random.default_rng(64)
     for params, N, xi in ((toy, 5, (1.3, 0.2)), (table1, 7, (1e6, 1e9)),
                           (random_material(rng), 6, (2.0, 3.0))):
@@ -56,10 +57,16 @@ def test_energy_generator_matches_definition(table1, toy):
         S = block_diag(L_A.T, L_M.T)
         lhs, rhs = sys.A_E @ S, S @ sys.A_op
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
-        for _ in range(5):
-            state = rng.standard_normal(4 * (N + 1))
+        states = rng.standard_normal((5, 4 * (N + 1)))
+        for state in states:
             z = S @ state
             assert discrete_energy(sys, state) == pytest.approx(0.5 * sys.h * z @ z, rel=1e-12)
+        zs = states @ S.T
+        np.testing.assert_allclose(sys.to_energy_coords(states), zs,
+                                   rtol=0, atol=1e-13 * np.abs(zs).max())
+        np.testing.assert_allclose(sys.to_energy_coords(states[0]), zs[0],
+                                   rtol=0, atol=1e-13 * np.abs(zs).max())
+        np.testing.assert_allclose(sys.from_energy_coords(zs), states, rtol=0, atol=1e-9)
         sym = sys.A_E + sys.A_E.T
         assert np.linalg.eigvalsh(sym).max() <= 1e-14 * np.abs(sym).max()
 

@@ -1,7 +1,14 @@
 """Time integration, exact modal propagation, decay fitting, envelopes."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from piezobeam import derive_constants
 from piezobeam.errors import DomainError
 from piezobeam.orfd import (
     StateVector,
@@ -17,6 +24,8 @@ from piezobeam.simulate import (
     integrate,
     modal_trace,
 )
+
+from conftest import random_material
 
 quiet_dt = pytest.mark.filterwarnings(
     "ignore:dt=.*does not resolve:RuntimeWarning")
@@ -168,17 +177,74 @@ def test_modal_trace_shapes_and_energy_consistency(toy):
 
 def test_modal_handles_stiff_constants(table1):
     # the implicit stepper cannot resolve the fast branch at any practical
-    # dt; the eigenbasis route has no step-size restriction at all
+    # dt; the eigenbasis route has no step-size restriction at all.  The
+    # nodal states come back from the energy coordinates and must carry the
+    # same energies and tip rates as the trace read from z.
     sys = build_system(table1, 24, 1e6, 1e9)
     sv = hat_initial_condition(table1, 24, 0.5)
-    res = modal_trace(sys, sv, 0.05, samples=501)
+    res = modal_trace(sys, sv, 0.05, samples=501, keep_states=True)
     E = res.trace.energies
     assert E[-1] < 1e-3 * E[0]
     assert np.all(np.isfinite(E)) and np.all(E >= 0.0)
+    np.testing.assert_allclose(E, [discrete_energy(sys, s) for s in res.states],
+                               rtol=1e-9)
+    n = 25
+    np.testing.assert_allclose(res.trace.boundary_v_dot, res.states[:, 3 * n - 1],
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.trace.boundary_p_dot, res.states[:, 4 * n - 1],
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.final_state.flat, res.states[-1],
+                               rtol=0, atol=1e-12 * np.abs(res.states[-1]).max())
+
+
+def test_modal_energy_is_monotone(table1):
+    # A_E + A_E^T <= 0, so the exact flow never gains energy; with a well
+    # conditioned eigenbasis the samples keep that to roundoff.  Gains are
+    # drawn around the impedances sqrt(rho alpha), sqrt(mu beta) of each
+    # random material, and T spans two certified decay times.
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        params = random_material(rng)
+        xi1 = np.sqrt(params.rho * params.alpha) * 10.0 ** rng.uniform(-2, 2)
+        xi2 = np.sqrt(params.mu * params.beta) * 10.0 ** rng.uniform(-2, 2)
+        T = 2.0 / derive_constants(params).sigma_max
+        E = modal_trace(build_system(params, 16, xi1, xi2),
+                        hat_initial_condition(params, 16, 0.5), T).trace.energies
+        assert np.diff(E).max() <= 1e-12 * E[0]
+    # the designed pair of the reference material never steps up at all
+    E = modal_trace(build_system(table1, 80, 1e6, 1e9),
+                    hat_initial_condition(table1, 80, 0.5), 0.1).trace.energies
+    assert np.diff(E).max() <= 0.0
+
+
+def test_modal_trace_does_not_depend_on_blas_threads():
+    code = (
+        "import json\n"
+        "import numpy as np\n"
+        "from piezobeam import TABLE1\n"
+        "from piezobeam.orfd import build_system, hat_initial_condition\n"
+        "from piezobeam.simulate import fit_decay, modal_trace\n"
+        "tr = modal_trace(build_system(TABLE1, 80, 1e6, 1e9),\n"
+        "                 hat_initial_condition(TABLE1, 80, 0.5), 0.1, 2001).trace\n"
+        "print(json.dumps([fit_decay(tr).sigma_fit,\n"
+        "                  float(np.abs(tr.boundary_v_dot).max())]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        runs.append(json.loads(out.stdout))
+    np.testing.assert_allclose(runs[0], runs[1], rtol=1e-7)
 
 
 @pytest.mark.parametrize("kwargs", [dict(T=0.0), dict(T=-1.0),
-                                    dict(T=np.nan), dict(T=1.0, samples=1)])
+                                    dict(T=np.nan), dict(T=1.0, samples=1),
+                                    dict(T=1.0, samples=2.5),
+                                    # petabytes: refused by the memory estimate
+                                    dict(T=1.0, samples=10**12)])
 def test_modal_rejects_bad_arguments(toy, kwargs):
     sys = build_system(toy, 5, 0.1, 0.1)
     sv = hat_initial_condition(toy, 5, 0.5)

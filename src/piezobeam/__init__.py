@@ -8,8 +8,8 @@ from .design import (DeltaBudget, FeedbackDesign, VerifyReport, amplifier_interv
 from .errors import DomainError
 from .materials import (TABLE1, DerivedConstants, MaterialParams, derive_constants,
                         format_config, parse_config)
-from .orfd import (OrfdSystem, StateVector, average_and_difference, build_system,
-                   discrete_energy, hat_initial_condition, perturbation_functional)
+from .orfd import (OrfdSystem, build_system, discrete_energy, hat_initial_condition,
+                   perturbation_functional)
 from .simulate import (DecayFit, EnergyTrace, EnvelopeReport, IntegrationResult,
                        envelope_check, fit_decay, integrate, modal_trace)
 from .spectral import (SpectrumGrid, SpectrumResult, spectral_abscissa, spectrum,
@@ -25,8 +25,8 @@ __all__ = [
     "delta_cap_v", "delta_cap_p", "eps_ceiling", "eps_ceiling_zeros",
     "eps_floor", "eps_floor_domain", "epsilon_bounds", "amplifier_intervals",
     "lyapunov_rate", "delta_budget", "verify_design",
-    "OrfdSystem", "StateVector", "build_system", "hat_initial_condition",
-    "discrete_energy", "perturbation_functional", "average_and_difference",
+    "OrfdSystem", "build_system", "hat_initial_condition",
+    "discrete_energy", "perturbation_functional",
     "EnergyTrace", "DecayFit", "EnvelopeReport", "IntegrationResult",
     "integrate", "modal_trace", "fit_decay", "envelope_check",
     "SpectrumResult", "SpectrumGrid", "spectrum", "spectral_abscissa", "sweep",

@@ -1,8 +1,10 @@
 """Command line front end.
 
-Subcommands: design, simulate, spectrum, sweep, verify.  Every run writes a
-manifest JSON recording the command, material parameters, options, emitted
-files, and wall time.  Domain errors exit 1, usage errors exit 2.
+Subcommands: design, simulate, spectrum, sweep, verify.  `run` loads the
+material parameters, answers --emit-config, and writes the manifest JSON
+(command, material parameters, options, emitted files, wall time) around
+each `cmd_*`, which returns its exit code and emitted files.  Domain errors
+exit 1 without a manifest, usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -112,20 +114,15 @@ def _dump_matrices(sys_obj, outdir: Path) -> list[Path]:
     for name, mat in (("mass_matrix", sys_obj.M_mat),
                       ("stiffness_matrix", sys_obj.Ah_mat),
                       ("boundary_matrix", sys_obj.B_mat),
-                      ("generator_matrix", sys_obj.A_op)):
+                      ("generator_matrix", sys_obj.A_E)):
         path = outdir / f"{name}.txt"
         _write_matrix(path, mat)
         written.append(path)
     return written
 
 
-def cmd_design(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    params = _load_params(args)
-    if args.emit_config:
-        sys.stdout.write(format_config(params))
-        _write_manifest("design", args, params, [], time.perf_counter() - t0)
-        return 0
+def cmd_design(args: argparse.Namespace,
+               params: MaterialParams) -> tuple[int, list[Path]]:
     consts = derive_constants(params)
     design = amplifier_intervals(params, consts, args.epsilon)
     lo, hi = epsilon_bounds(params, consts)
@@ -154,17 +151,11 @@ def cmd_design(args: argparse.Namespace) -> int:
     width = max(len(r[0]) for r in rows)
     for name, val in rows:
         print(f"  {name:<{width}}  {val}", file=sys.stderr)
-    _write_manifest("design", args, params, [], time.perf_counter() - t0)
-    return 0
+    return 0, []
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    params = _load_params(args)
-    if args.emit_config:
-        sys.stdout.write(format_config(params))
-        _write_manifest("verify", args, params, [], time.perf_counter() - t0)
-        return 0
+def cmd_verify(args: argparse.Namespace,
+               params: MaterialParams) -> tuple[int, list[Path]]:
     consts = derive_constants(params)
     design = amplifier_intervals(params, consts, args.epsilon)
     report = verify_design(params, consts, args.xi1, args.xi2, args.epsilon)
@@ -181,17 +172,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not report.xi2_in_interval:
         print(f"xi2={_fmt(args.xi2)} outside the safe interval "
               f"({_fmt(design.c2_lo)}, {_fmt(design.c2_hi)})", file=sys.stderr)
-    _write_manifest("verify", args, params, [], time.perf_counter() - t0)
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), []
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    params = _load_params(args)
-    if args.emit_config:
-        sys.stdout.write(format_config(params))
-        _write_manifest("simulate", args, params, [], time.perf_counter() - t0)
-        return 0
+def cmd_simulate(args: argparse.Namespace,
+                 params: MaterialParams) -> tuple[int, list[Path]]:
     system = build_system(params, args.N, args.xi1, args.xi2)
     state0 = hat_initial_condition(params, args.N, args.peak_frac)
     if args.method == "modal":
@@ -220,17 +205,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except DomainError as exc:
         summary.update(sigma_fit=None, fit_skipped=str(exc))
     print(json.dumps(summary, indent=2))
-    _write_manifest("simulate", args, params, outputs, time.perf_counter() - t0)
-    return 0
+    return 0, outputs
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    params = _load_params(args)
-    if args.emit_config:
-        sys.stdout.write(format_config(params))
-        _write_manifest("spectrum", args, params, [], time.perf_counter() - t0)
-        return 0
+def cmd_spectrum(args: argparse.Namespace,
+                 params: MaterialParams) -> tuple[int, list[Path]]:
     system = build_system(params, args.N, args.xi1, args.xi2)
     result = spectrum(system)
     payload = {
@@ -250,8 +229,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     if args.dump_matrices:
         outputs += _dump_matrices(system, Path(args.outdir))
-    _write_manifest("spectrum", args, params, outputs, time.perf_counter() - t0)
-    return 0
+    return 0, outputs
 
 
 def _sweep_axis(args: argparse.Namespace, which: str) -> np.ndarray:
@@ -263,13 +241,8 @@ def _sweep_axis(args: argparse.Namespace, which: str) -> np.ndarray:
     return np.logspace(math.log10(lo), math.log10(hi), pts)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    params = _load_params(args)
-    if args.emit_config:
-        sys.stdout.write(format_config(params))
-        _write_manifest("sweep", args, params, [], time.perf_counter() - t0)
-        return 0
+def cmd_sweep(args: argparse.Namespace,
+              params: MaterialParams) -> tuple[int, list[Path]]:
     if args.table3:
         xi1_values = np.array(TABLE3_XI1)
         xi2_values = np.array(TABLE3_XI2)
@@ -291,8 +264,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for i, j, msg in grid.failures:
             print(f"cell ({_fmt(grid.xi1_values[i])}, {_fmt(grid.xi2_values[j])}) "
                   f"failed: {msg}", file=sys.stderr)
-    _write_manifest("sweep", args, params, [out], time.perf_counter() - t0)
-    return 0
+    return 0, [out]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,14 +348,19 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except DomainError as exc:
+        params = _load_params(args)
+        if args.emit_config:
+            sys.stdout.write(format_config(params))
+            code, outputs = 0, []
+        else:
+            code, outputs = args.func(args, params)
+        _write_manifest(args.command, args, params, outputs, time.perf_counter() - t0)
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return code
 
 
 def main() -> None:

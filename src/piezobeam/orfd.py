@@ -20,26 +20,25 @@ an exact midpoint quadrature of the continuous one.  That structure is what
 makes the dissipation identity and the perturbation bound below exact in
 floating point, not just O(h^2).
 
-Two first-order generators are assembled, similar to each other and so with
-the same eigenvalues.  A_op acts on the nodal state [v, p, v_dot, p_dot]; it
-drives time stepping.  Its blocks mix the scales of M^-1 A_h and C1^-1 C2,
-so for realistic constants it has norm ~3e26 and an eigenvector condition
-~1e13, and a dense eigensolve of it loses about three digits (how many
-depends on the BLAS blocking, hence on the thread count).
-A_E acts on the energy coordinates
+A nodal state is one flat array [v, p, v_dot, p_dot] = [y; u] of length
+4(N+1); the nodal system is defined only in the second-order form above.
+Its one first-order generator acts on the energy coordinates
 
-    z = [L_A^T y; L_M^T u],   C1 (x) M = L_M L_M^T,   C2 (x) A_h = L_A L_A^T
+    z = [L_A^T y; L_M^T u],   C1 (x) M = L_M L_M^T,   C2 (x) A_h = L_A L_A^T,
 
-(Cholesky factors; both forms are SPD because alpha1 > 0), in which the
-discrete energy is (h/2) |z|^2 and
+(Cholesky factors; both forms are SPD because
+alpha1 > 0), in which the discrete energy is (h/2) |z|^2 and
 
     A_E = [[0, G^T], [-G, -D]],   G = L_M^-1 L_A,   D = L_M^-1 (C3 (x) B) L_M^-T.
 
-D is positive semidefinite of rank <= 2 (tip damping only), so
-A_E + A_E^T <= 0 holds by construction and the eigenvectors are well
-conditioned; every eigenvalue analysis and the modal propagation run on A_E.
-to_energy_coords and from_energy_coords map nodal states to z and back with
-the small Cholesky factors L_m, L_Ah and L_C2.
+Both blocks are Kronecker products of small factors (`G_factors`,
+`D_factors`).  D is positive semidefinite with two nonzero entries, the tip
+damping rates, so A_E + A_E^T <= 0 holds by construction and the
+eigenvectors are well conditioned (condition ~2).  Every eigenvalue
+analysis and the modal propagation run on A_E; the midpoint stepper works
+on the second-order form above.  to_energy_coords and from_energy_coords map
+nodal states [y; u] to z and back with the small Cholesky factors L_m, L_Ah
+and L_C2.
 """
 
 from __future__ import annotations
@@ -53,16 +52,13 @@ import scipy.linalg as sla
 from .errors import DomainError
 from .materials import MaterialParams
 
-# Accuracy contract for the M-solves used in the assembled generator.
-SOLVE_RTOL = 1e-12
-
 
 @dataclass(eq=False)
 class OrfdSystem:
     """Assembled semi-discretization at one amplifier pair.
 
-    The two first-order generators are assembled on first use, since the
-    time steppers need only A_op and the eigensolves only A_E.
+    Holds the second-order blocks; the factors and the generator A_E in
+    energy coordinates are built on first use.
     """
 
     N: int
@@ -79,22 +75,6 @@ class OrfdSystem:
     @property
     def n_nodes(self) -> int:
         return self.N + 1
-
-    @cached_property
-    def A_op(self) -> np.ndarray:
-        """Generator on [v, p, v_dot, p_dot], each block of length N+1."""
-        n = self.n_nodes
-        M = self.M_mat
-        Minv_Ah = np.linalg.solve(M, self.Ah_mat)
-        Minv_B = np.linalg.solve(M, self.B_mat)
-        _check_solve(M, Minv_Ah, self.Ah_mat)
-        _check_solve(M, Minv_B, self.B_mat)
-
-        A_op = np.zeros((4 * n, 4 * n))
-        A_op[: 2 * n, 2 * n:] = np.eye(2 * n)
-        A_op[2 * n:, : 2 * n] = -np.kron(np.linalg.solve(self.C1, self.C2), Minv_Ah)
-        A_op[2 * n:, 2 * n:] = -np.kron(np.linalg.solve(self.C1, self.C3), Minv_B)
-        return A_op
 
     # The Cholesky factor of a Kronecker product is the product of the
     # factors: L_M = sqrt(C1) (x) L_m with C1 diagonal, L_A = L_C2 (x) L_Ah.
@@ -114,18 +94,31 @@ class OrfdSystem:
         return np.linalg.cholesky(self.C2)
 
     @cached_property
+    def G_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C1^-1/2 L_C2, L_m^-1 L_Ah), whose Kronecker product is G."""
+        return (self.L_C2 / np.sqrt(np.diag(self.C1))[:, None],
+                sla.solve_triangular(self.L_m, self.L_Ah, lower=True))
+
+    @cached_property
+    def D_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C1^-1 C3, t) with D = (C1^-1 C3) (x) t t^T.
+
+        With B = b b^T, b = e_{N+1} / sqrt(h), t = L_m^-1 b is nonzero only
+        in its tip entry, so D is diagonal with the tip damping rates.
+        """
+        t = sla.solve_triangular(self.L_m, np.sqrt(self.B_mat[:, -1]), lower=True)
+        return np.linalg.solve(self.C1, self.C3), t
+
+    @cached_property
     def A_E(self) -> np.ndarray:
         """Generator on the energy coordinates z (module docstring)."""
-        # With B = b b^T, b = e_{N+1} / sqrt(h), and t = L_m^-1 b:
-        # G = (C1^-1/2 L_C2) (x) (L_m^-1 L_Ah) and D = (C1^-1 C3) (x) t t^T.
         n = self.n_nodes
-        G = np.kron(self.L_C2 / np.sqrt(np.diag(self.C1))[:, None],
-                    sla.solve_triangular(self.L_m, self.L_Ah, lower=True))
-        t = sla.solve_triangular(self.L_m, np.sqrt(self.B_mat[:, -1]), lower=True)
+        G = np.kron(*self.G_factors)
+        c, t = self.D_factors
         A_E = np.zeros((4 * n, 4 * n))
         A_E[: 2 * n, 2 * n:] = G.T
         A_E[2 * n:, : 2 * n] = -G
-        A_E[2 * n:, 2 * n:] = -np.kron(np.linalg.solve(self.C1, self.C3), np.outer(t, t))
+        A_E[2 * n:, 2 * n:] = -np.kron(c, np.outer(t, t))
         return A_E
 
     def to_energy_coords(self, states: np.ndarray) -> np.ndarray:
@@ -151,29 +144,6 @@ def _solve_right(L: np.ndarray, X: np.ndarray) -> np.ndarray:
     """X L^-1 for lower triangular L, applied to the last axis of X."""
     rows = X.reshape(-1, X.shape[-1])
     return sla.solve_triangular(L, rows.T, lower=True, trans="T").T.reshape(X.shape)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Nodal state (v, p, v_dot, p_dot), each of length N+1."""
-
-    v: np.ndarray
-    p: np.ndarray
-    v_dot: np.ndarray
-    p_dot: np.ndarray
-
-    @property
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.v, self.p, self.v_dot, self.p_dot])
-
-    @classmethod
-    def from_flat(cls, state: np.ndarray) -> "StateVector":
-        state = np.asarray(state, dtype=float)
-        if state.ndim != 1 or state.size % 4:
-            raise DomainError(f"flat state must have length 4*(N+1), got {state.shape}")
-        n = state.size // 4
-        return cls(v=state[:n], p=state[n:2 * n],
-                   v_dot=state[2 * n:3 * n], p_dot=state[3 * n:])
 
 
 def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> OrfdSystem:
@@ -210,19 +180,10 @@ def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> Orfd
                       C1=C1, C2=C2, C3=C3)
 
 
-def _check_solve(M: np.ndarray, X: np.ndarray, RHS: np.ndarray) -> None:
-    scale = np.linalg.norm(RHS)
-    if scale == 0.0:
-        return
-    res = np.linalg.norm(M @ X - RHS)
-    if res > SOLVE_RTOL * scale:
-        raise RuntimeError(f"mass-matrix solve residual {res:.3e} exceeds "
-                           f"{SOLVE_RTOL:.1e} * {scale:.3e}")
-
-
 def hat_initial_condition(params: MaterialParams, N: int,
-                          peak_frac: float = 0.5) -> StateVector:
-    """Unit-peak triangular profile on both v and p, zero velocities.
+                          peak_frac: float = 0.5) -> np.ndarray:
+    """Flat state [v, p, v_dot, p_dot]: a unit-peak triangular profile on
+    both v and p, zero velocities.
 
     The peak sits at the grid node nearest peak_frac*L and must be interior
     (a peak at the clamp or the tip leaves no triangle).
@@ -243,8 +204,7 @@ def hat_initial_condition(params: MaterialParams, N: int,
     xm = m * h
     prof = np.where(x <= xm, x / xm, (params.L - x) / (params.L - xm))
     prof[-1] = 0.0
-    zero = np.zeros(n)
-    return StateVector(v=prof.copy(), p=prof.copy(), v_dot=zero.copy(), p_dot=zero.copy())
+    return np.concatenate([prof, prof, np.zeros(2 * n)])
 
 
 def discrete_energy(sys: OrfdSystem, state: np.ndarray) -> float:
@@ -273,25 +233,12 @@ def perturbation_functional(sys: OrfdSystem, state: np.ndarray,
     """
     n = sys.N + 1
     state = np.asarray(state, dtype=float)
-    sv = StateVector.from_flat(state)
-
-    def cells(w):  # prepend the clamped node
-        return np.concatenate(([0.0], w))
-
-    v, p = cells(sv.v), cells(sv.p)
-    vd, pd = cells(sv.v_dot), cells(sv.p_dot)
+    if state.shape != (4 * n,):
+        raise DomainError(f"state has shape {state.shape}, expected ({4 * n},)")
+    # prepend the clamped node to each of v, p, v_dot, p_dot
+    v, p, vd, pd = np.hstack([np.zeros((4, 1)), state.reshape(4, n)])
     x_mid = (np.arange(n) + 0.5) * sys.h
     slope = lambda w: np.diff(w) / sys.h
     avg = lambda w: 0.5 * (w[:-1] + w[1:])
     integrand = params.rho * avg(vd) * slope(v) + params.mu * avg(pd) * slope(p)
     return float(sys.h * np.sum(x_mid * integrand))
-
-
-def average_and_difference(prev: np.ndarray, nxt: np.ndarray,
-                           dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint average and difference quotient of consecutive states."""
-    if not dt > 0.0:
-        raise DomainError(f"dt must be positive, got {dt!r}")
-    prev = np.asarray(prev, dtype=float)
-    nxt = np.asarray(nxt, dtype=float)
-    return 0.5 * (prev + nxt), (nxt - prev) / dt

@@ -9,7 +9,8 @@ Two propagators:
   tool up to moderate stiffness, but it under-damps branches it cannot
   resolve: damping of a mode at frequency w is suppressed by ~4/(w*dt)^2 once
   w*dt >> 1.  A warning is emitted when dt leaves the fastest mode
-  unresolved.
+  unresolved, judged by `generator_radius_estimate`, which reads a bound
+  on the spectral radius of A_E from its Kronecker factors.
 * `modal_trace` -- exact propagation of the semi-discrete flow through the
   eigendecomposition of the generator A_E in energy coordinates (see `orfd`).
   dt-free; the sample times only decide where the trace is evaluated.  This
@@ -18,6 +19,9 @@ Two propagators:
   A_E + A_E^T <= 0 and its eigenbasis is well conditioned, so the sampled
   energy (h/2)|z|^2 is monotone in time and the trace agrees across BLAS
   thread counts to roundoff.
+
+Both take and return states as flat arrays [v, p, v_dot, p_dot] of length
+4(N+1).
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DomainError
-from .orfd import OrfdSystem, StateVector, discrete_energy
+from .orfd import OrfdSystem, discrete_energy
 
 # Ratio of E_h(0) used as the positivity floor when fitting log-energy.
 ENERGY_FLOOR_ULPS = 1e3 * np.finfo(float).eps
 
-# Memory one modal_trace call may take for its eigenbasis and sample arrays.
-MODAL_MEMORY_BYTES = 2**30
+# Memory one integrate or modal_trace call may take for its sample arrays.
+MEMORY_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class EnvelopeReport:
 @dataclass(frozen=True)
 class IntegrationResult:
     trace: EnergyTrace
-    final_state: StateVector
+    final_state: np.ndarray  # flat (4(N+1),)
     states: np.ndarray | None = None  # (samples, 4(N+1)) when requested
 
 
@@ -113,43 +117,48 @@ class _MidpointStepper:
         return y + 0.5 * self.dt * (u + u_new), u_new
 
 
-def generator_radius_estimate(sys: OrfdSystem, iters: int = 40) -> float:
-    """Spectral-radius estimate of the generator: ||A^k x||^(1/k) for one
-    random x (Gelfand).
+def generator_radius_estimate(sys: OrfdSystem) -> float:
+    """max(||G||_2, ||D||_2) for A_E = [[0, G^T], [-G, -D]] (see `orfd`).
 
-    The per-step norm growth oscillates over orders of magnitude on this
-    rotation-like generator, so the geometric mean over the whole orbit is
-    used, with the product accumulated in log space to dodge overflow.
+    Read from the Kronecker factors: ||G||_2 is the product of the factor
+    norms and D is diagonal with the tip rates d_a.  The spectral radius of
+    A_E is at most ||G||_2 + ||D||_2, so this is at least half of it.
     """
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(sys.A_op.shape[0])
-    x /= np.linalg.norm(x)
-    acc = 0.0
-    for _ in range(iters):
-        x = sys.A_op @ x
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            return 0.0
-        acc += math.log(nrm)
-        x /= nrm
-    return math.exp(acc / iters)
+    coupling, mesh = sys.G_factors
+    c, t = sys.D_factors
+    g = np.linalg.norm(coupling, 2) * np.linalg.norm(mesh, 2)
+    return float(max(g, np.diag(c).max() * (t @ t)))
 
 
-def integrate(sys: OrfdSystem, state0: StateVector | np.ndarray, T: float,
+def _check_memory(need: float, what: str, fewer: str) -> None:
+    if need > MEMORY_BYTES:
+        raise DomainError(
+            f"{what} needs about {need / 2**20:.0f} MiB, over the "
+            f"{MEMORY_BYTES / 2**20:.0f} MiB budget; request fewer {fewer}")
+
+
+def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
               dt: float, keep_states: bool = False) -> IntegrationResult:
     """Implicit midpoint run over [0, T], sampling every step.
 
     Emits a warning when dt leaves the fastest generator mode unresolved
     (dt * radius > 0.2); the scheme stays stable but the unresolved branch
-    keeps its energy.  Aborts on non-finite state.
+    keeps its energy.  Aborts on non-finite state.  Runs whose arrays would
+    exceed MEMORY_BYTES are refused before anything is allocated.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"T must be positive, got {T!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive, got {dt!r}")
-    n_steps = int(round(T / dt))
-    if n_steps < 1:
+    steps = round(T / dt, 0)
+    if steps < 1:
         raise DomainError(f"T={T!r} is shorter than one step dt={dt!r}")
+    n = sys.N + 1
+    # the stepper's ~6 dense 2n x 2n blocks, then times, energies and the two
+    # tip rates per sample, and 4n more doubles per sample with keep_states
+    _check_memory(8 * (6 * (2 * n) ** 2 + (4 + 4 * n * bool(keep_states)) * (steps + 1)),
+                  f"midpoint run at N={sys.N} with {steps:.0f} steps", "steps")
+    n_steps = int(steps)
 
     radius = generator_radius_estimate(sys)
     if dt * radius > 0.2:
@@ -158,8 +167,7 @@ def integrate(sys: OrfdSystem, state0: StateVector | np.ndarray, T: float,
             "damping of unresolved branches is understated",
             RuntimeWarning, stacklevel=2)
 
-    flat = state0.flat if isinstance(state0, StateVector) else np.asarray(state0, float)
-    n = sys.N + 1
+    flat = np.asarray(state0, dtype=float)
     if flat.shape != (4 * n,):
         raise DomainError(f"state has shape {flat.shape}, expected ({4 * n},)")
     y, u = flat[: 2 * n].copy(), flat[2 * n:].copy()
@@ -185,11 +193,11 @@ def integrate(sys: OrfdSystem, state0: StateVector | np.ndarray, T: float,
     trace = EnergyTrace(times=times, energies=energies,
                         boundary_v_dot=bv, boundary_p_dot=bp)
     return IntegrationResult(trace=trace,
-                             final_state=StateVector.from_flat(np.concatenate([y, u])),
+                             final_state=np.concatenate([y, u]),
                              states=states)
 
 
-def modal_trace(sys: OrfdSystem, state0: StateVector | np.ndarray, T: float,
+def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
                 samples: int = 2001, keep_states: bool = False) -> IntegrationResult:
     """Exact semi-discrete flow sampled at `samples` points of [0, T].
 
@@ -199,24 +207,20 @@ def modal_trace(sys: OrfdSystem, state0: StateVector | np.ndarray, T: float,
     (h/2) |z|^2 is monotone in time up to roundoff.  Energies and tip rates
     are read from z; nodal states are recovered for final_state and, with
     keep_states, for every sample.  Requests whose arrays would exceed
-    MODAL_MEMORY_BYTES are refused before anything is allocated.
+    MEMORY_BYTES are refused before anything is allocated.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"T must be positive, got {T!r}")
     if not (isinstance(samples, (int, np.integer)) and samples >= 2):
         raise DomainError(f"need an integer number of samples >= 2, got {samples!r}")
-    flat = state0.flat if isinstance(state0, StateVector) else np.asarray(state0, float)
+    flat = np.asarray(state0, dtype=float)
     n = sys.N + 1
     if flat.shape != (4 * n,):
         raise DomainError(f"state has shape {flat.shape}, expected ({4 * n},)")
     # A_E and its eigenbasis take ~6 dense 4n x 4n blocks, z one row of 4n
     # doubles per sample, and the nodal states of keep_states ~4 more.
-    need = 8 * 4 * n * (6 * 4 * n + (1 + 4 * bool(keep_states)) * int(samples))
-    if need > MODAL_MEMORY_BYTES:
-        raise DomainError(
-            f"modal trace at N={sys.N} with {samples} samples needs about "
-            f"{need / 2**20:.0f} MiB, over the {MODAL_MEMORY_BYTES / 2**20:.0f} MiB "
-            "budget; request fewer samples")
+    _check_memory(8 * 4 * n * (6 * 4 * n + (1 + 4 * bool(keep_states)) * int(samples)),
+                  f"modal trace at N={sys.N} with {samples} samples", "samples")
 
     lam, V = np.linalg.eig(sys.A_E)
     # A_E is real, so its eigenpairs are closed under conjugation: keep
@@ -252,7 +256,7 @@ def modal_trace(sys: OrfdSystem, state0: StateVector | np.ndarray, T: float,
     trace = EnergyTrace(times=times, energies=energies,
                         boundary_v_dot=tip[:, 0], boundary_p_dot=tip[:, 1])
     return IntegrationResult(trace=trace,
-                             final_state=StateVector.from_flat(sys.from_energy_coords(z[-1])),
+                             final_state=sys.from_energy_coords(z[-1]),
                              states=sys.from_energy_coords(z) if keep_states else None)
 
 

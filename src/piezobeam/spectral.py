@@ -3,15 +3,12 @@
 The spectral abscissa max Re(mu) of the generator is the decay rate the
 semi-discrete system actually delivers; sweeping it over the amplifier plane
 maps where the certified design intervals sit relative to the truly optimal
-gains.  Every eigensolve here runs on A_E, the generator in energy
-coordinates (see `piezobeam.orfd`), not on the nodal A_op.  The two are
-similar, so the eigenvalues are the same, but the eigenvectors of A_E have
-condition ~2 against ~1e13 for A_op, which would cost about three digits of
-the abscissa, and different ones at different BLAS thread counts.  On A_E
-the abscissa matches a 40-digit oracle (tests/oracle_frozen_abscissa.py) to
-1e-8 relative at the reference pairs, at 1 and at 2 BLAS threads.  Dense
-LAPACK eigensolves throughout (the generator is small; sparse iteration buys
-nothing here).  Single-point calls certify the dominant eigenvalues with an
+gains.  Every eigensolve runs on A_E, the generator in energy coordinates
+(see `piezobeam.orfd`), whose eigenvectors have condition ~2, so the
+abscissa does not depend on the BLAS thread count.  It matches a 40-digit
+oracle (tests/oracle_frozen_abscissa.py) to 1e-8 relative at the reference
+pairs, at 1 and at 2 BLAS threads.  Dense LAPACK eigensolves throughout (the
+generator is small; sparse iteration buys nothing here).  Single-point calls certify the dominant eigenvalues with an
 independent inverse-iteration residual relative to ||A_E||_2.
 """
 

@@ -136,10 +136,10 @@ def test_acceptance_6_small_system_eigensolver_oracle(table1):
     mpmath = pytest.importorskip("mpmath")
 
     sys_num = build_system(table1, 2, 1e6, 1e6)
-    lam_np, vecs = np.linalg.eig(sys_num.A_op)
-    norm_A = float(np.linalg.norm(sys_num.A_op, 2))
+    lam_np, vecs = np.linalg.eig(sys_num.A_E)
+    norm_A = float(np.linalg.norm(sys_num.A_E, 2))
 
-    # independent exact assembly at h = 1/3
+    # independent exact assembly of the similar nodal generator at h = 1/3
     R = sympy.Rational
     h = R(1, 3)
     M = R(1, 4) * sympy.Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 1]])
@@ -167,7 +167,7 @@ def test_acceptance_6_small_system_eigensolver_oracle(table1):
     for lam in lam_np:
         rel = min(abs(lam - r) / abs(r) for r in roots)
         worst_eig = max(worst_eig, rel)
-    res = sys_num.A_op @ vecs - vecs * lam_np
+    res = sys_num.A_E @ vecs - vecs * lam_np
     worst_res = float(np.abs(np.linalg.norm(res, axis=0)).max()) / norm_A
     ok = worst_eig <= 1e-6 and worst_res < 1e-8
     _report(6, ok,

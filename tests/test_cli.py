@@ -1,7 +1,9 @@
 """End-to-end command line coverage driven through run()."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,7 @@ def test_design_rejects_epsilon_outside_bounds(tmp_path, capsys):
                         "--outdir", str(tmp_path))
     assert code == 1
     assert "error:" in err
+    assert not (tmp_path / "design.manifest.json").exists()  # none on a domain error
 
 
 def test_design_scales_with_config_length(tmp_path, capsys):
@@ -97,6 +100,8 @@ def test_emit_config_round_trips(tmp_path, capsys):
     assert code == 0
     assert out == format_config(TABLE1)
     assert parse_config(out) == TABLE1
+    manifest = json.loads((tmp_path / "design.manifest.json").read_text())
+    assert manifest["options"]["emit_config"] is True and manifest["outputs"] == []
 
 
 def test_preset_directory_lookup(tmp_path, capsys, monkeypatch, toy):
@@ -135,6 +140,8 @@ def test_verify_rejects_pair_outside_the_box(tmp_path, capsys):
     payload = json.loads(out)
     assert not payload["ok"] and not payload["xi1_in_interval"]
     assert "outside the safe interval" in err
+    manifest = json.loads((tmp_path / "verify.manifest.json").read_text())
+    assert manifest["command"] == "verify" and manifest["options"]["xi1"] == 1.0
 
 
 # ---------------------------------------------------------------- simulate
@@ -197,6 +204,16 @@ def test_simulate_modal_rejects_oversized_sample_count(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_simulate_midpoint_rejects_oversized_step_count(tmp_path, capsys):
+    out_csv = tmp_path / "mid.csv"
+    code, _, err = _run(capsys, "simulate", "--N", "8", "--T", "1e3", "--dt", "1e-12",
+                        "--out", str(out_csv), "--outdir", str(tmp_path))
+    assert code == 1
+    assert "needs about" in err and "MiB" in err and "Traceback" not in err
+    assert not out_csv.exists()
+    assert not (tmp_path / "mid.manifest.json").exists()
+
+
 def test_simulate_dump_matrices_round_trip(tmp_path, capsys, toy):
     cfg = _toy_cfg(tmp_path, toy)
     code, _, _ = _run(capsys, "simulate", "--config", str(cfg),
@@ -209,7 +226,7 @@ def test_simulate_dump_matrices_round_trip(tmp_path, capsys, toy):
     for name, mat in (("mass_matrix", sys_obj.M_mat),
                       ("stiffness_matrix", sys_obj.Ah_mat),
                       ("boundary_matrix", sys_obj.B_mat),
-                      ("generator_matrix", sys_obj.A_op)):
+                      ("generator_matrix", sys_obj.A_E)):
         path = tmp_path / f"{name}.txt"
         rows, cols = map(int, path.read_text().splitlines()[0].split())
         loaded = np.loadtxt(path, skiprows=1).reshape(rows, cols)
@@ -287,8 +304,11 @@ def test_sweep_rejects_degenerate_grid(tmp_path, capsys):
 # ------------------------------------------------------------- entry point
 
 def test_module_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "piezobeam", "design", "--outdir", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert set(json.loads(proc.stdout)) >= {"sigma_max", "c1", "c2"}

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from piezobeam import (DomainError, StateVector, average_and_difference, build_system,
-                      discrete_energy, hat_initial_condition, integrate,
-                      perturbation_functional)
+from piezobeam import (DomainError, build_system, discrete_energy, hat_initial_condition,
+                      integrate, perturbation_functional)
 
 from conftest import TOY, random_material
 
@@ -33,21 +32,22 @@ def test_matrices_literal_small(toy):
     assert sys.C3[0, 0] == 0.7 and sys.C3[1, 1] == 0.3
 
 
-def test_generator_blocks_match_reference(toy):
-    sys = build_system(toy, 5, 1.3, 0.2)
-    n = 6
+def nodal_generator_reference(sys):
+    """First-order generator on [v, p, v_dot, p_dot] from explicit inverses."""
+    n = sys.N + 1
     Minv = np.linalg.inv(sys.M_mat)
     ref = np.zeros((4 * n, 4 * n))
     ref[:2 * n, 2 * n:] = np.eye(2 * n)
     ref[2 * n:, :2 * n] = -np.kron(np.linalg.inv(sys.C1) @ sys.C2, Minv @ sys.Ah_mat)
     ref[2 * n:, 2 * n:] = -np.kron(np.linalg.inv(sys.C1) @ sys.C3, Minv @ sys.B_mat)
-    np.testing.assert_allclose(sys.A_op, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+    return ref
 
 
 def test_energy_generator_matches_definition(table1, toy):
     # z = S x with S = diag(L_A^T, L_M^T) from the full-size Cholesky factors:
-    # A_E S = S A_op, E_h = (h/2)|z|^2, A_E + A_E^T <= 0, and the blockwise
-    # maps to and from z agree with S and its inverse
+    # A_E S = S A_ref for the nodal generator A_ref of the second-order
+    # system, E_h = (h/2)|z|^2, A_E + A_E^T <= 0, and the blockwise maps to
+    # and from z agree with S and its inverse
     rng = np.random.default_rng(64)
     for params, N, xi in ((toy, 5, (1.3, 0.2)), (table1, 7, (1e6, 1e9)),
                           (random_material(rng), 6, (2.0, 3.0))):
@@ -55,7 +55,8 @@ def test_energy_generator_matches_definition(table1, toy):
         L_M = np.linalg.cholesky(np.kron(sys.C1, sys.M_mat))
         L_A = np.linalg.cholesky(np.kron(sys.C2, sys.Ah_mat))
         S = block_diag(L_A.T, L_M.T)
-        lhs, rhs = sys.A_E @ S, S @ sys.A_op
+        A_ref = nodal_generator_reference(sys)
+        lhs, rhs = sys.A_E @ S, S @ A_ref
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
         states = rng.standard_normal((5, 4 * (N + 1)))
         for state in states:
@@ -98,27 +99,18 @@ def test_energy_zero_state(toy):
     assert discrete_energy(sys, np.zeros(20)) == 0.0
 
 
-def test_state_vector_roundtrip():
-    rng = np.random.default_rng(66)
-    flat = rng.standard_normal(24)
-    sv = StateVector.from_flat(flat)
-    assert sv.v.size == 6
-    np.testing.assert_array_equal(sv.flat, flat)
-    with pytest.raises(DomainError):
-        StateVector.from_flat(rng.standard_normal(27))
-
-
 def test_hat_profile_geometry(table1):
-    sv = hat_initial_condition(table1, 80, 0.5)
+    state = hat_initial_condition(table1, 80, 0.5)
     n = 81
-    assert sv.v.shape == (n,)
+    assert state.shape == (4 * n,)
+    v, p = state[:n], state[n:2 * n]
     peak = 40 - 1  # nearest node to the midpoint is node 40; array is 1-based nodes
-    assert sv.v[peak - 1] < sv.v[peak] == 1.0 > sv.v[peak + 1]
-    assert sv.v[-1] == 0.0
-    np.testing.assert_array_equal(sv.v, sv.p)
-    assert not sv.v_dot.any() and not sv.p_dot.any()
+    assert v[peak - 1] < v[peak] == 1.0 > v[peak + 1]
+    assert v[-1] == 0.0
+    np.testing.assert_array_equal(v, p)
+    assert not state[2 * n:].any()
     # piecewise linear up and down: second differences vanish off the peak
-    d2 = np.diff(np.concatenate(([0.0], sv.v)), 2)
+    d2 = np.diff(np.concatenate(([0.0], v)), 2)
     offpeak = np.delete(np.arange(d2.size), peak)
     np.testing.assert_allclose(d2[offpeak], 0.0, atol=1e-13)
 
@@ -128,13 +120,13 @@ def test_hat_energy_closed_form(table1, toy):
     # the exact Dirichlet integral of the unit hat: 1/xm + 1/(L - xm)
     for params, N, frac in ((table1, 80, 0.5), (toy, 7, 0.3), (table1, 40, 0.25)):
         n = N + 1
-        sv = hat_initial_condition(params, N, frac)
+        state = hat_initial_condition(params, N, frac)
         sys = build_system(params, N, 0.0, 0.0)
         m = int(round(frac * n))
         xm = m * (params.L / n)
         coeff = 0.5 * (params.alpha + params.beta - 2.0 * params.gamma * params.beta)
         want = coeff * (1.0 / xm + 1.0 / (params.L - xm))
-        assert discrete_energy(sys, sv.flat) == pytest.approx(want, rel=1e-12)
+        assert discrete_energy(sys, state) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("frac", [0.0, 1.0, 1e-9, 0.9999999, -0.5, float("nan")])
@@ -160,11 +152,10 @@ def test_perturbation_bound_exact(table1, toy, consts1, toy_consts):
 
 def test_perturbation_functional_structure(table1):
     sys = build_system(table1, 10, 0.0, 0.0)
-    sv = hat_initial_condition(table1, 10, 0.5)
+    state = hat_initial_condition(table1, 10, 0.5)
     # no velocities, no functional
-    assert perturbation_functional(sys, sv.flat, table1) == 0.0
+    assert perturbation_functional(sys, state, table1) == 0.0
     # linear in the rates
-    state = sv.flat.copy()
     n = 11
     rng = np.random.default_rng(68)
     rates = rng.standard_normal(2 * n)
@@ -174,12 +165,12 @@ def test_perturbation_functional_structure(table1):
     assert perturbation_functional(sys, state, table1) == pytest.approx(2.0 * F1, rel=1e-12)
 
 
-def test_average_and_difference():
-    a, r = average_and_difference(np.array([1.0, 3.0]), np.array([3.0, 7.0]), 0.5)
-    np.testing.assert_allclose(a, [2.0, 5.0])
-    np.testing.assert_allclose(r, [4.0, 8.0])
-    with pytest.raises(DomainError):
-        average_and_difference(np.zeros(2), np.ones(2), 0.0)
+@pytest.mark.parametrize("size", [0, 43, 48, 45])
+def test_perturbation_functional_rejects_wrong_length(table1, size):
+    # N=10 states have 4*11 = 44 entries; 48 = 4*12 is a state of N=11
+    sys = build_system(table1, 10, 0.0, 0.0)
+    with pytest.raises(DomainError, match="expected \\(44,\\)"):
+        perturbation_functional(sys, np.zeros(size), table1)
 
 
 @pytest.mark.filterwarnings("ignore:dt=.*does not resolve:RuntimeWarning")
@@ -189,13 +180,13 @@ def test_dissipation_identity_along_midpoint_run(toy):
     # + xi2*avg(pdot_L)^2)
     N, dt = 8, 1e-3
     sys = build_system(toy, N, 0.5, 0.7)
-    sv = hat_initial_condition(toy, N, 0.5)
-    res = integrate(sys, sv, 50 * dt, dt, keep_states=True)
+    state0 = hat_initial_condition(toy, N, 0.5)
+    res = integrate(sys, state0, 50 * dt, dt, keep_states=True)
     E = res.trace.energies
     n = N + 1
     E0 = E[0]
     for k in range(50):
-        avg, _ = average_and_difference(res.states[k], res.states[k + 1], dt)
+        avg = 0.5 * (res.states[k] + res.states[k + 1])
         bleed = dt * (sys.xi1 * avg[3 * n - 1] ** 2 + sys.xi2 * avg[4 * n - 1] ** 2)
         assert E[k + 1] - E[k] == pytest.approx(-bleed, abs=5e-13 * E0)
 
@@ -206,12 +197,12 @@ def test_dissipation_identity_stiff_global(table1):
     # roundoff-transport level
     N, dt, steps = 12, 1e-8, 100
     sys = build_system(table1, N, 1e6, 1e9)
-    sv = hat_initial_condition(table1, N, 0.5)
-    res = integrate(sys, sv, steps * dt, dt, keep_states=True)
+    state0 = hat_initial_condition(table1, N, 0.5)
+    res = integrate(sys, state0, steps * dt, dt, keep_states=True)
     E = res.trace.energies
     n = N + 1
     bleed = 0.0
     for k in range(steps):
-        avg, _ = average_and_difference(res.states[k], res.states[k + 1], dt)
+        avg = 0.5 * (res.states[k] + res.states[k + 1])
         bleed += dt * (sys.xi1 * avg[3 * n - 1] ** 2 + sys.xi2 * avg[4 * n - 1] ** 2)
     assert (E[-1] - E[0]) == pytest.approx(-bleed, abs=1e-8 * E[0])

@@ -10,12 +10,7 @@ import pytest
 
 from piezobeam import derive_constants
 from piezobeam.errors import DomainError
-from piezobeam.orfd import (
-    StateVector,
-    build_system,
-    discrete_energy,
-    hat_initial_condition,
-)
+from piezobeam.orfd import build_system, discrete_energy, hat_initial_condition
 from piezobeam.simulate import (
     EnergyTrace,
     envelope_check,
@@ -60,14 +55,13 @@ def test_midpoint_run_is_time_reversible(table1):
     # undamped scheme is symmetric, so we land back on the start state up to
     # linear-solve roundoff (measured in the energy norm)
     sys = build_system(table1, 40, 0.0, 0.0)
+    n = 41
     s0 = hat_initial_condition(table1, 40, 0.5)
+    flip = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
     fwd = integrate(sys, s0, 200e-8, 1e-8).final_state
-    flipped = StateVector(v=fwd.v, p=fwd.p,
-                          v_dot=-fwd.v_dot, p_dot=-fwd.p_dot)
-    back = integrate(sys, flipped, 200e-8, 1e-8).final_state
-    diff = np.concatenate([back.v - s0.v, back.p - s0.p,
-                           back.v_dot + s0.v_dot, back.p_dot + s0.p_dot])
-    err = np.sqrt(discrete_energy(sys, diff) / discrete_energy(sys, s0.flat))
+    back = integrate(sys, flip * fwd, 200e-8, 1e-8).final_state
+    diff = flip * back - s0
+    err = np.sqrt(discrete_energy(sys, diff) / discrete_energy(sys, s0))
     assert err <= 1e-10
 
 
@@ -125,9 +119,28 @@ def test_resolved_dt_is_quiet(toy):
         integrate(sys, sv, 5e-3, 1e-3)
 
 
+def test_radius_estimate_brackets_the_spectral_radius(table1, toy):
+    # rho(A_E) <= ||G|| + ||D|| <= 2 max(||G||, ||D||), and the estimate is
+    # not loose by more than a small factor either
+    rng = np.random.default_rng(3)
+    cases = [(toy, 8, 0.5, 0.7), (table1, 40, 1e6, 1e9)]
+    for _ in range(30):
+        params = random_material(rng)
+        cases.append((params, int(rng.integers(2, 25)),
+                      np.sqrt(params.rho * params.alpha) * 10.0 ** rng.uniform(-4, 4),
+                      np.sqrt(params.mu * params.beta) * 10.0 ** rng.uniform(-4, 4)))
+    for params, N, xi1, xi2 in cases:
+        sys = build_system(params, N, xi1, xi2)
+        rho = np.abs(np.linalg.eigvals(sys.A_E)).max()
+        assert 0.5 * rho <= generator_radius_estimate(sys) <= 3.0 * rho
+
+
 @pytest.mark.parametrize("T,dt", [(0.0, 1e-3), (-1.0, 1e-3), (np.nan, 1e-3),
                                   (1.0, 0.0), (1.0, -1e-3), (1.0, np.nan),
-                                  (1e-5, 1e-3)])
+                                  (1e-5, 1e-3),
+                                  # 1e15 steps, petabytes: refused by the
+                                  # memory estimate before allocating
+                                  (1e3, 1e-12)])
 def test_integrate_rejects_bad_spans(toy, T, dt):
     sys = build_system(toy, 6, 0.5, 0.7)
     sv = hat_initial_condition(toy, 6, 0.5)
@@ -147,8 +160,8 @@ def test_midpoint_converges_to_modal_at_second_order(toy):
     sys = build_system(toy, 6, 0.2, 0.9)
     sv = hat_initial_condition(toy, 6, 0.5)
     T = 1e-2
-    exact = modal_trace(sys, sv, T, samples=2).final_state.flat
-    errs = [np.max(np.abs(integrate(sys, sv, T, dt).final_state.flat - exact))
+    exact = modal_trace(sys, sv, T, samples=2).final_state
+    errs = [np.max(np.abs(integrate(sys, sv, T, dt).final_state - exact))
             for dt in (1e-4, 5e-5, 2.5e-5)]
     # halving dt quarters the endpoint error
     assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -171,7 +184,7 @@ def test_modal_trace_shapes_and_energy_consistency(toy):
         np.testing.assert_allclose(res.trace.energies[k],
                                    discrete_energy(sys, res.states[k]),
                                    rtol=1e-9)
-    np.testing.assert_allclose(res.states[0], sv.flat, atol=1e-12)
+    np.testing.assert_allclose(res.states[0], sv, atol=1e-12)
     assert res.trace.energies[-1] < res.trace.energies[0]
 
 
@@ -193,7 +206,7 @@ def test_modal_handles_stiff_constants(table1):
                                rtol=1e-12, atol=0)
     np.testing.assert_allclose(res.trace.boundary_p_dot, res.states[:, 4 * n - 1],
                                rtol=1e-12, atol=0)
-    np.testing.assert_allclose(res.final_state.flat, res.states[-1],
+    np.testing.assert_allclose(res.final_state, res.states[-1],
                                rtol=0, atol=1e-12 * np.abs(res.states[-1]).max())
 
 

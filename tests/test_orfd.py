@@ -43,6 +43,33 @@ def nodal_generator_reference(sys):
     return ref
 
 
+def test_generator_blocks_match_reference(table1, toy):
+    # A_E = [[0, G^T], [-G, -D]] with G = L_M^-1 L_A and D = L_M^-1 (C3 (x) B) L_M^-T,
+    # from the full-size Cholesky factors and explicit inverses
+    rng = np.random.default_rng(63)
+    for params, N, xi in ((toy, 5, (1.3, 0.2)), (table1, 7, (1e6, 1e9)),
+                          (random_material(rng), 6, (2.0, 3.0))):
+        sys = build_system(params, N, *xi)
+        m = 2 * (N + 1)
+        L_M = np.linalg.cholesky(np.kron(sys.C1, sys.M_mat))
+        L_A = np.linalg.cholesky(np.kron(sys.C2, sys.Ah_mat))
+        L_M_inv = np.linalg.inv(L_M)
+        G_ref = L_M_inv @ L_A
+        D_ref = L_M_inv @ np.kron(sys.C3, sys.B_mat) @ L_M_inv.T
+        A = sys.A_E
+        assert not A[:m, :m].any()
+        np.testing.assert_allclose(A[:m, m:], G_ref.T, rtol=0, atol=1e-12 * np.abs(G_ref).max())
+        np.testing.assert_allclose(A[m:, :m], -G_ref, rtol=0, atol=1e-12 * np.abs(G_ref).max())
+        np.testing.assert_allclose(A[m:, m:], -D_ref, rtol=0, atol=1e-12 * np.abs(D_ref).max())
+        # the damping acts on the two tip entries only, at rates
+        # xi_a (M^-1)_NN / (c_a h)
+        tips = [N, m - 1]
+        off = np.delete(np.arange(m), tips)
+        assert not A[m:, m:][off].any() and not A[m:, m:][:, off].any()
+        rates = np.array(xi) * np.linalg.inv(sys.M_mat)[N, N] / (np.diag(sys.C1) * sys.h)
+        np.testing.assert_allclose(-np.diag(A[m:, m:])[tips], rates, rtol=1e-12)
+
+
 def test_energy_generator_matches_definition(table1, toy):
     # z = S x with S = diag(L_A^T, L_M^T) from the full-size Cholesky factors:
     # A_E S = S A_ref for the nodal generator A_ref of the second-order

@@ -34,6 +34,10 @@ TABLE3_XI1 = [10.0 ** e for e in (5.0, 5.5, 6.0, 6.5, 7.0, 7.5)]
 TABLE3_XI2 = [1e-7, 1e-5, 1e-3, 1e6, 1e9, 1e10, 1e11]
 
 
+# Rows formatted per write by _write_csv.
+CSV_BLOCK_ROWS = 1024
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -93,11 +97,18 @@ def _resolve_out(args: argparse.Namespace, default_name: str) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, rows: np.ndarray) -> None:
+    """Header, then one line per row of the 2-D array, each value as _fmt."""
+    rows = np.asarray(rows, dtype=float)
+    # "%.17g" % x is format(x, ".17g"); one format per row is ~2x faster.
+    # Blocks of rows keep the Python floats and strings of a long trace
+    # from all being alive at once.
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([line % tuple(row) for row in block]))
 
 
 def _write_matrix(path: Path, mat: np.ndarray) -> None:
@@ -187,11 +198,11 @@ def cmd_simulate(args: argparse.Namespace,
 
     out = _resolve_out(args, "trace.csv")
     _write_csv(out, "t,E,vdot_L,pdot_L",
-               zip(trace.times, trace.energies,
-                   trace.boundary_v_dot, trace.boundary_p_dot))
+               np.column_stack([trace.times, trace.energies,
+                                trace.boundary_v_dot, trace.boundary_p_dot]))
     norm_out = out.with_name(out.stem + ".normalized.csv")
     E0 = trace.energies[0]
-    _write_csv(norm_out, "t,E_norm", zip(trace.times, trace.energies / E0))
+    _write_csv(norm_out, "t,E_norm", np.column_stack([trace.times, trace.energies / E0]))
     outputs = [out, norm_out]
     if args.dump_matrices:
         outputs += _dump_matrices(system, Path(args.outdir))

@@ -207,6 +207,22 @@ def hat_initial_condition(params: MaterialParams, N: int,
     return np.concatenate([prof, prof, np.zeros(2 * n)])
 
 
+def check_state(sys: OrfdSystem, state: np.ndarray) -> np.ndarray:
+    """The nodal state as a flat float array of length 4(N+1).
+
+    Raises DomainError on any other shape and on NaN or infinite entries.
+    """
+    n = sys.N + 1
+    state = np.asarray(state, dtype=float)
+    if state.shape != (4 * n,):
+        raise DomainError(f"state has shape {state.shape}, expected ({4 * n},)")
+    bad = np.flatnonzero(~np.isfinite(state))
+    if bad.size:
+        raise DomainError(f"state has {bad.size} non-finite entries, "
+                          f"the first at index {bad[0]}")
+    return state
+
+
 def discrete_energy(sys: OrfdSystem, state: np.ndarray) -> float:
     """E_h = (h/2) <(C1 (x) M) u, u> + (h/2) <(C2 (x) A_h) y, y>,
     y = [v; p], u = [v_dot; p_dot].
@@ -232,9 +248,7 @@ def perturbation_functional(sys: OrfdSystem, state: np.ndarray,
     (the continuous Hoelder/Young chain goes through verbatim).
     """
     n = sys.N + 1
-    state = np.asarray(state, dtype=float)
-    if state.shape != (4 * n,):
-        raise DomainError(f"state has shape {state.shape}, expected ({4 * n},)")
+    state = check_state(sys, state)
     # prepend the clamped node to each of v, p, v_dot, p_dot
     v, p, vd, pd = np.hstack([np.zeros((4, 1)), state.reshape(4, n)])
     x_mid = (np.arange(n) + 0.5) * sys.h

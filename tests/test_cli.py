@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam.cli import TABLE3_XI1, TABLE3_XI2, run
+from piezobeam.cli import CSV_BLOCK_ROWS, TABLE3_XI1, TABLE3_XI2, _write_csv, run
 from piezobeam.design import amplifier_intervals, epsilon_bounds
 from piezobeam.materials import (
     TABLE1,
@@ -181,6 +181,25 @@ def test_simulate_midpoint_writes_trace_files(tmp_path, capsys, toy):
     assert sorted(manifest["outputs"]) == sorted(
         [str(out_csv), str(tmp_path / "trace.normalized.csv")])
     assert manifest["options"]["dt"] == 1e-3
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    # the blocked row format must write exactly what format(x, ".17g")
+    # joined by commas writes, value by value
+    tiny = np.nextafter(0.0, 1.0)
+    values = [0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, 1e300, -1e-300,
+              0.1, 1 / 3, 2.0 / 3e-7, 9007199254740993.0, 1.7976931348623157e308,
+              np.inf, -np.inf, np.nan, 1.0, -123456.0, 5e-324 * 3, 1e16, 1e17]
+    # the tricky values, then enough random rows to span several blocks
+    rng = np.random.default_rng(2)
+    rows = np.vstack([np.array(values).reshape(-1, 4),
+                      rng.standard_normal((2 * CSV_BLOCK_ROWS + 3, 4))
+                      * 10.0 ** rng.integers(-300, 300, (2 * CSV_BLOCK_ROWS + 3, 4))])
+    path = tmp_path / "rows.csv"
+    _write_csv(path, "a,b,c,d", rows)
+    want = "a,b,c,d\n" + "".join(
+        ",".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
 
 
 def test_simulate_modal_row_count(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from piezobeam import (DomainError, build_system, discrete_energy, hat_initial_condition,
-                      integrate, perturbation_functional)
+                      integrate, modal_trace, perturbation_functional)
 
 from conftest import TOY, random_material
 
@@ -198,6 +198,22 @@ def test_perturbation_functional_rejects_wrong_length(table1, size):
     sys = build_system(table1, 10, 0.0, 0.0)
     with pytest.raises(DomainError, match="expected \\(44,\\)"):
         perturbation_functional(sys, np.zeros(size), table1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("use", [
+    lambda sys, s, p: integrate(sys, s, 1e-2, 1e-3),
+    lambda sys, s, p: modal_trace(sys, s, 1e-2),
+    lambda sys, s, p: perturbation_functional(sys, s, p),
+], ids=["integrate", "modal_trace", "perturbation_functional"])
+def test_state_consumers_reject_non_finite_entries(toy, use, bad):
+    # the state is refused up front, not blamed on the eigensolve, on a
+    # step, or returned as a NaN functional
+    sys = build_system(toy, 6, 0.5, 0.7)
+    state = hat_initial_condition(toy, 6, 0.5)
+    state[9] = bad
+    with pytest.raises(DomainError, match="non-finite entries, the first at index 9"):
+        use(sys, state, toy)
 
 
 @pytest.mark.filterwarnings("ignore:dt=.*does not resolve:RuntimeWarning")

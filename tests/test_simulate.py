@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam import derive_constants
+from piezobeam import TABLE1, derive_constants
 from piezobeam.errors import DomainError
 from piezobeam.orfd import build_system, discrete_energy, hat_initial_condition
 from piezobeam.simulate import (
@@ -103,6 +103,64 @@ def test_trace_shapes_and_boundary_columns(toy):
                                    rtol=1e-12)
 
 
+def _dense_midpoint_step(sys, dt, state):
+    """y+ = y + dt/2 (u + u+), u+ = S^-1 (R u - dt KA y), block order, dense.
+
+    Evaluated in extended precision with iterative refinement: in double,
+    the entries of R lose KM to (dt^2/4) KA, which alone moves a step by
+    ~1e-10 of the energy norm at table1, N=80, dt=1e-6.
+    """
+    ld = np.longdouble
+    n = sys.N + 1
+    KM = np.kron(sys.C1, sys.M_mat).astype(ld)
+    KA = np.kron(sys.C2, sys.Ah_mat).astype(ld)
+    KB = np.kron(sys.C3, sys.B_mat).astype(ld)
+    dt = ld(dt)
+    S = KM + dt * dt / 4 * KA + dt / 2 * KB
+    R = KM - dt * dt / 4 * KA - dt / 2 * KB
+    y, u = state[: 2 * n].astype(ld), state[2 * n:].astype(ld)
+    rhs = R @ u - dt * (KA @ y)
+    u_new = np.zeros_like(rhs)
+    for _ in range(4):
+        u_new += np.linalg.solve(S.astype(float), (rhs - S @ u_new).astype(float))
+    return np.concatenate([y + dt / 2 * (u + u_new), u_new]).astype(float)
+
+
+def _midpoint_cases():
+    rng = np.random.default_rng(11)
+    cases = [pytest.param(TABLE1, 80, 1e6, 1e9, 1e-6, 200, id="table1-designed"),
+             pytest.param(TABLE1, 80, 0.0, 0.0, 1e-6, 200, id="table1-undamped")]
+    for i in range(12):
+        params = random_material(rng)
+        cases.append(pytest.param(
+            params, 16,
+            np.sqrt(params.rho * params.alpha) * 10.0 ** rng.uniform(-3, 3),
+            np.sqrt(params.mu * params.beta) * 10.0 ** rng.uniform(-3, 3),
+            0.02 / derive_constants(params).sigma_max, 100, id=f"random{i}"))
+    return cases
+
+
+@quiet_dt
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the dense reference needs extended precision")
+@pytest.mark.parametrize("params,N,xi1,xi2,dt,steps", _midpoint_cases())
+def test_banded_step_matches_dense_formula(params, N, xi1, xi2, dt, steps):
+    # every recorded step is y+ = y + dt/2 (u + u+), u+ = S^-1 (R u - dt KA y)
+    # in the block order, to 1e-11 in the energy norm, and every sampled
+    # energy is the discrete energy of the recorded state
+    sys = build_system(params, N, xi1, xi2)
+    res = integrate(sys, hat_initial_condition(params, N, 0.5), steps * dt, dt,
+                    keep_states=True)
+    assert res.states.shape == (steps + 1, 4 * (N + 1))
+    for k in range(steps):
+        err = res.states[k + 1] - _dense_midpoint_step(sys, dt, res.states[k])
+        assert discrete_energy(sys, err) <= 1e-11**2 * discrete_energy(sys, res.states[k])
+    np.testing.assert_allclose(res.trace.energies,
+                               [discrete_energy(sys, s) for s in res.states],
+                               rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(res.final_state, res.states[-1])
+
+
 def test_unresolved_dt_warns(toy):
     sys = build_system(toy, 8, 0.5, 0.7)
     sv = hat_initial_condition(toy, 8, 0.5)
@@ -152,6 +210,38 @@ def test_integrate_rejects_bad_state_shape(toy):
     sys = build_system(toy, 6, 0.5, 0.7)
     with pytest.raises(DomainError):
         integrate(sys, np.zeros(11), 1e-2, 1e-3)
+
+
+def _run_under_blas_threads(code: str) -> list:
+    """stdout JSON of `code` run in fresh interpreters at 1 and 2 BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        runs.append(json.loads(out.stdout))
+    return runs
+
+
+def test_midpoint_trace_does_not_depend_on_blas_threads():
+    code = (
+        "import json, warnings\n"
+        "from piezobeam import TABLE1\n"
+        "from piezobeam.orfd import build_system, hat_initial_condition\n"
+        "from piezobeam.simulate import integrate\n"
+        "warnings.simplefilter('ignore')\n"
+        "tr = integrate(build_system(TABLE1, 40, 1e6, 1e9),\n"
+        "               hat_initial_condition(TABLE1, 40, 0.5), 1000e-8, 1e-8).trace\n"
+        "print(json.dumps([tr.energies.tolist(), tr.boundary_v_dot.tolist(),\n"
+        "                  tr.boundary_p_dot.tolist()]))\n"
+    )
+    one, two = (np.array(run) for run in _run_under_blas_threads(code))
+    assert one.shape == (3, 1001)
+    np.testing.assert_allclose(two[0], one[0], rtol=1e-12, atol=0)
+    for a, b in zip(one[1:], two[1:]):
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12 * np.abs(a).max())
 
 
 # --------------------------------------------------------------- modal_trace
@@ -242,14 +332,7 @@ def test_modal_trace_does_not_depend_on_blas_threads():
         "print(json.dumps([fit_decay(tr).sigma_fit,\n"
         "                  float(np.abs(tr.boundary_v_dot).max())]))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=300)
-        runs.append(json.loads(out.stdout))
+    runs = _run_under_blas_threads(code)
     np.testing.assert_allclose(runs[0], runs[1], rtol=1e-7)
 
 

@@ -43,7 +43,7 @@ and L_C2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -114,12 +114,33 @@ class OrfdSystem:
         """Generator on the energy coordinates z (module docstring)."""
         n = self.n_nodes
         G = np.kron(*self.G_factors)
-        c, t = self.D_factors
         A_E = np.zeros((4 * n, 4 * n))
         A_E[: 2 * n, 2 * n:] = G.T
         A_E[2 * n:, : 2 * n] = -G
-        A_E[2 * n:, 2 * n:] = -np.kron(c, np.outer(t, t))
+        self._write_damping(A_E)
         return A_E
+
+    def _write_damping(self, A_E: np.ndarray) -> None:
+        """Write -D, this system's damping block, into the generator A_E."""
+        n = self.n_nodes
+        c, t = self.D_factors
+        A_E[2 * n:, 2 * n:] = -np.kron(c, np.outer(t, t))
+
+    def with_gains(self, xi1: float, xi2: float) -> OrfdSystem:
+        """The same beam at the amplifier pair (xi1, xi2).
+
+        Shares the gain-independent factors L_m, L_Ah, L_C2 and G_factors;
+        its A_E is a copy of this system's with the damping block rewritten,
+        bit for bit what build_system at (xi1, xi2) assembles.
+        """
+        _check_gains(xi1, xi2)
+        other = replace(self, xi1=float(xi1), xi2=float(xi2), C3=np.diag([xi1, xi2]))
+        for name in ("L_m", "L_Ah", "L_C2", "G_factors"):
+            other.__dict__[name] = getattr(self, name)  # fills the cached_property
+        A_E = self.A_E.copy()
+        other._write_damping(A_E)
+        other.__dict__["A_E"] = A_E
+        return other
 
     def to_energy_coords(self, states: np.ndarray) -> np.ndarray:
         """z = [L_A^T y; L_M^T u] of nodal states, shape (..., 4(N+1))."""
@@ -146,6 +167,13 @@ def _solve_right(L: np.ndarray, X: np.ndarray) -> np.ndarray:
     return sla.solve_triangular(L, rows.T, lower=True, trans="T").T.reshape(X.shape)
 
 
+def _check_gains(xi1: float, xi2: float) -> None:
+    """Raise DomainError unless both amplifier gains are finite and >= 0."""
+    for name, xi in (("xi1", xi1), ("xi2", xi2)):
+        if not (np.isfinite(xi) and xi >= 0.0):
+            raise DomainError(f"{name} must be finite and >= 0, got {xi!r}")
+
+
 def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> OrfdSystem:
     """Assemble the matrices of the semi-discretization.
 
@@ -153,10 +181,7 @@ def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> Orfd
     """
     if not (isinstance(N, (int, np.integer)) and N >= 2):
         raise DomainError(f"N must be an integer >= 2, got {N!r}")
-    if not (np.isfinite(xi1) and xi1 >= 0.0):
-        raise DomainError(f"xi1 must be finite and >= 0, got {xi1!r}")
-    if not (np.isfinite(xi2) and xi2 >= 0.0):
-        raise DomainError(f"xi2 must be finite and >= 0, got {xi2!r}")
+    _check_gains(xi1, xi2)
 
     n = N + 1
     h = params.L / n

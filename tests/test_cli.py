@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from piezobeam import cli
 from piezobeam.cli import CSV_BLOCK_ROWS, TABLE3_XI1, TABLE3_XI2, _write_csv, run
 from piezobeam.design import amplifier_intervals, epsilon_bounds
 from piezobeam.materials import (
@@ -37,6 +38,15 @@ def test_no_arguments_is_a_usage_error(capsys):
 def test_unknown_subcommand_is_a_usage_error(capsys):
     code, _, _ = _run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_runs_share_one_parser(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = _run(capsys, "design", "--outdir", str(tmp_path))
+        assert code == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ------------------------------------------------------------------ design
@@ -181,6 +191,35 @@ def test_simulate_midpoint_writes_trace_files(tmp_path, capsys, toy):
     assert sorted(manifest["outputs"]) == sorted(
         [str(out_csv), str(tmp_path / "trace.normalized.csv")])
     assert manifest["options"]["dt"] == 1e-3
+
+
+@pytest.mark.filterwarnings("ignore:dt=.*does not resolve:RuntimeWarning")
+@pytest.mark.parametrize("method", ["midpoint", "modal"])
+def test_simulate_zero_gains_reports_drift_not_a_rate(tmp_path, capsys, method):
+    code, out, _ = _run(capsys, "simulate", "--method", method, "--N", "8",
+                        "--T", "0.002", "--dt", "1e-6", "--samples", "51",
+                        "--xi1", "0", "--xi2", "0",
+                        "--out", str(tmp_path / "t.csv"), "--outdir", str(tmp_path))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["sigma_fit"] is None
+    assert "conserves energy" in summary["fit_skipped"]
+    assert "r_squared" not in summary
+    E = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)[:, 1]
+    assert summary["energy_drift"] == np.max(np.abs(E - E[0])) / E[0]
+    assert summary["energy_drift"] <= 1e-8  # roundoff, no decay
+
+
+@pytest.mark.filterwarnings("ignore:dt=.*does not resolve:RuntimeWarning")
+def test_simulate_nonzero_gains_fit_a_rate(tmp_path, capsys):
+    code, out, _ = _run(capsys, "simulate", "--N", "8", "--T", "0.002", "--dt", "1e-6",
+                        "--xi1", "1e6", "--xi2", "0",
+                        "--out", str(tmp_path / "t.csv"), "--outdir", str(tmp_path))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["sigma_fit"] > 0.0
+    assert set(summary) == {"E0", "E_final", "samples", "sigma_fit", "r_squared",
+                            "fit_window", "fit_truncated"}
 
 
 def test_csv_writer_matches_per_value_format(tmp_path):

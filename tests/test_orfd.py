@@ -110,6 +110,35 @@ def test_build_system_rejects(toy, bad):
         build_system(toy, **kwargs)
 
 
+GAIN_GRID = [0.0, 1e-8, 0.5, 1e6, 1e9, 1e12]
+
+
+def test_with_gains_matches_build_system(table1, toy):
+    for params, N in ((table1, 12), (toy, 6)):
+        base = build_system(params, N, 0.5, 0.7)
+        for xi1 in GAIN_GRID:
+            for xi2 in GAIN_GRID:
+                got = base.with_gains(xi1, xi2)
+                want = build_system(params, N, xi1, xi2)
+                assert (got.xi1, got.xi2) == (want.xi1, want.xi2)
+                np.testing.assert_array_equal(got.C3, want.C3)
+                # bit for bit, signed zeros included
+                assert got.A_E.tobytes() == want.A_E.tobytes()
+                for name in ("L_m", "L_Ah", "L_C2", "G_factors"):
+                    assert getattr(got, name) is getattr(base, name)
+        assert base.A_E.tobytes() == build_system(params, N, 0.5, 0.7).A_E.tobytes()
+
+
+@pytest.mark.parametrize("gains", [(float("nan"), 1.0), (1.0, float("nan")),
+                                   (-1.0, 1.0), (1.0, -1e-9), (float("inf"), 1.0)])
+def test_with_gains_rejects_like_build_system(toy, gains):
+    with pytest.raises(DomainError) as built:
+        build_system(toy, 8, *gains)
+    with pytest.raises(DomainError) as replaced:
+        build_system(toy, 8, 1.0, 1.0).with_gains(*gains)
+    assert str(replaced.value) == str(built.value)
+
+
 def test_energy_matches_dense_reference(table1, toy):
     rng = np.random.default_rng(65)
     for params, N in ((table1, 7), (toy, 11)):

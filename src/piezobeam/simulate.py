@@ -6,16 +6,19 @@ Two propagators:
   the node-interleaved ordering [v_0, p_0, v_1, p_1, ...], where the
   stiffness, mass and damping forms are kron(T, C) for the tridiagonal
   mesh blocks T and the 2x2 coefficients C, so the SPD step matrix has
-  half-bandwidth 3.  It is Jacobi-equilibrated and factored once by a
-  banded Cholesky with no fill-in; a step is two banded matvecs and one
-  banded solve, and the two products also give the sample's energy.  The
-  scheme preserves the discrete energy at zero amplifiers to roundoff
-  transport and keeps the trace monotone at positive amplifiers.  Midpoint is the right tool up to moderate
-  stiffness, but it under-damps branches it cannot resolve: damping of a
-  mode at frequency w is suppressed by ~4/(w*dt)^2 once w*dt >> 1.  A
-  warning is emitted when dt leaves the fastest mode unresolved, judged by
-  `generator_radius_estimate`, which reads a bound on the spectral radius
-  of A_E from its Kronecker factors.
+  half-bandwidth 3.  The state is carried Jacobi-scaled by the step
+  matrix's diagonal, whose scaled form is factored once by a banded
+  Cholesky with no fill-in.  A step is one banded matvec with the stiffness
+  and mass bands stacked block-diagonally, which also gives the sample's
+  energy, one banded solve and three in-place vector updates.  The scheme
+  preserves the discrete energy at zero amplifiers to roundoff transport
+  and keeps the trace monotone at positive amplifiers.  Midpoint is the
+  right tool up to moderate stiffness, but it under-damps branches it
+  cannot resolve: damping of a mode at frequency w is suppressed by
+  ~4/(w*dt)^2 once w*dt >> 1.  A warning is emitted when dt leaves the
+  fastest mode unresolved, judged by `generator_radius_estimate`, which
+  reads a bound on the spectral radius of A_E from its Kronecker factors
+  and the closed-form norm of the mesh factor.
 * `modal_trace` -- exact propagation of the semi-discrete flow through the
   eigendecomposition of the generator A_E in energy coordinates (see `orfd`).
   dt-free; the sample times only decide where the trace is evaluated.  This
@@ -36,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
+from scipy.linalg.blas import daxpy, ddot, dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DomainError
@@ -103,7 +106,7 @@ def _band(A: np.ndarray) -> np.ndarray:
 
 
 class _MidpointStepper:
-    """One midpoint step in second-order form, node-interleaved and banded.
+    """Midpoint steps in second-order form, node-interleaved, banded, scaled.
 
     In the ordering [v_0, p_0, v_1, p_1, ...] the forms are KM = M (x) C1,
     KA = A_h (x) C2 and KB = B (x) C3, each of half-bandwidth 3.  With u = y'
@@ -118,46 +121,52 @@ class _MidpointStepper:
     which reuses the products KM u and KA y of the sample's energy
     (h/2)(y^T KA y + u^T KM u).  R itself is never formed: its entries are
     dominated by (dt^2/4) KA and lose KM to rounding, which puts ~1e-10
-    of the energy norm into every step.  S is SPD for nonnegative
-    amplifiers; after symmetric Jacobi scaling it is factored once by a
-    banded Cholesky (dpbtrf) with no fill-in, and a step is two dsbmv and
-    one dpbtrs.  The bands are read off the dense Kronecker assembly.
+    of the energy norm into every step.
+
+    The state is carried Jacobi-scaled, s = [y/d; u/d] with d = diag(S)^-1/2,
+    so every form is used as D K D and the scaling costs nothing per step.
+    `band` stacks D KA D and D KM D as one block-diagonal band of order
+    4(N+1), so r = 2 [D KA D y/d; D KM D u/d] is one dsbmv; s.r = 4 E / h
+    and r's second half minus (dt/2) times its first half is the
+    right-hand side.  D S D is SPD for nonnegative amplifiers and is
+    factored once by a banded Cholesky (dpbtrf) with no fill-in, so a step
+    is one dsbmv, one dpbtrs and three in-place vector updates.  The bands
+    are read off the dense Kronecker assembly.
     """
 
     def __init__(self, sys: OrfdSystem, dt: float):
         KM = np.kron(sys.M_mat, sys.C1)
         KA = np.kron(sys.Ah_mat, sys.C2)
         S = KM + 0.25 * dt * dt * KA + 0.5 * dt * np.kron(sys.B_mat, sys.C3)
-        self.KM, self.KA = _band(KM), _band(KA)
-        self.dt = dt
-        self.d = 1.0 / np.sqrt(np.diag(S))
-        self.cho, info = dpbtrf(_band((S * self.d).T * self.d))
+        d = 1.0 / np.sqrt(np.diag(S))
+        self.d = np.concatenate([d, d])
+
+        def scaled(K: np.ndarray) -> np.ndarray:
+            return _band((K * d).T * d)
+
+        # _band leaves the first k entries of the k-th superdiagonal zero,
+        # so side by side the two bands couple nothing across the blocks
+        self.band = np.hstack([scaled(KA), scaled(KM)])
+        self.cho, info = dpbtrf(scaled(S))
         if info:
             raise RuntimeError(f"midpoint step matrix is not SPD (dpbtrf info={info})")
-
-    def products(self, y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(KA y, KM u)."""
-        return dsbmv(_KD, 1.0, self.KA, y), dsbmv(_KD, 1.0, self.KM, u)
-
-    def step(self, y: np.ndarray, u: np.ndarray, KAy: np.ndarray,
-             KMu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x, info = dpbtrs(self.cho, self.d * (2.0 * KMu - self.dt * KAy))
-        if info:
-            raise RuntimeError(f"midpoint step solve failed (dpbtrs info={info})")
-        w = self.d * x
-        return y + 0.5 * self.dt * w, w - u
 
 
 def generator_radius_estimate(sys: OrfdSystem) -> float:
     """max(||G||_2, ||D||_2) for A_E = [[0, G^T], [-G, -D]] (see `orfd`).
 
-    Read from the Kronecker factors: ||G||_2 is the product of the factor
-    norms and D is diagonal with the tip rates d_a.  The spectral radius of
-    A_E is at most ||G||_2 + ||D||_2, so this is at least half of it.
+    ||G||_2 is the product of the norms of its Kronecker factors.  The mesh
+    factor L_m^-1 L_Ah has the singular values sqrt of the pencil
+    (A_h, M)'s eigenvalues (4/h^2) tan^2(k_j h/2), k_j = (2j-1) pi/(2L), so
+    its norm is (2/h) tan((2n-1) pi/(4n)) with n = N+1 nodes.  D is diagonal
+    with the tip rates d_a.  The spectral radius of A_E is at most
+    ||G||_2 + ||D||_2, so this is at least half of it.
     """
-    coupling, mesh = sys.G_factors
+    n = sys.n_nodes
+    coupling, _ = sys.G_factors
     c, t = sys.D_factors
-    g = np.linalg.norm(coupling, 2) * np.linalg.norm(mesh, 2)
+    mesh = 2.0 / sys.h * math.tan((2 * n - 1) * math.pi / (4 * n))
+    g = np.linalg.norm(coupling, 2) * mesh
     return float(max(g, np.diag(c).max() * (t @ t)))
 
 
@@ -200,10 +209,13 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
             "damping of unresolved branches is understated",
             RuntimeWarning, stacklevel=2)
 
-    # node-interleaved y = [v_0, p_0, v_1, ...] and u likewise
-    y, u = check_state(sys, state0).reshape(2, 2, n).transpose(0, 2, 1).reshape(2, 2 * n)
-
     stepper = _MidpointStepper(sys, dt)
+    d = stepper.d
+    # s = [y; u] node-interleaved ([v_0, p_0, v_1, ...]) and scaled by 1/d
+    s = check_state(sys, state0).reshape(2, 2, n).transpose(0, 2, 1).ravel() / d
+    sy, su = s[: 2 * n], s[2 * n:]
+    r = np.empty(4 * n)
+    rA, rM = r[: 2 * n], r[2 * n:]
     times = dt * np.arange(n_steps + 1)
     energies = np.empty(n_steps + 1)
     bv = np.empty(n_steps + 1)
@@ -211,21 +223,32 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     states = np.empty((n_steps + 1, 4 * n)) if keep_states else None
     # states[k] viewed as [y or u][node][v or p], the interleaved layout
     nodal = states.reshape(-1, 2, 2, n).transpose(0, 1, 3, 2) if keep_states else None
+    s_nodal, d_nodal = s.reshape(2, n, 2), d.reshape(2, n, 2)
 
+    band, cho, quarter_h, half_dt = stepper.band, stepper.cho, 0.25 * sys.h, 0.5 * dt
     for k in range(n_steps + 1):
-        KAy, KMu = stepper.products(y, u)
-        energies[k] = 0.5 * sys.h * (y @ KAy + u @ KMu)
-        bv[k], bp[k] = u[-2], u[-1]
+        # r = 2 [KA y; KM u] in the scaled variables, so s.r = 4 E / h
+        dsbmv(_KD, 2.0, band, s, y=r, overwrite_y=1)
+        energies[k] = e = quarter_h * ddot(s, r)
+        bv[k], bp[k] = s[-2], s[-1]
         if nodal is not None:
-            nodal[k, 0], nodal[k, 1] = y.reshape(n, 2), u.reshape(n, 2)
-        if not math.isfinite(energies[k]):
+            np.multiply(s_nodal, d_nodal, out=nodal[k])
+        if not math.isfinite(e):
             raise RuntimeError(f"non-finite state at step {k} (t={times[k]:g}); aborting")
         if k < n_steps:
-            y, u = stepper.step(y, u, KAy, KMu)
+            # S w = 2 KM u - dt KA y, solved in place in rM; y += dt/2 w; u = w - u
+            daxpy(rA, rM, a=-half_dt)
+            _, info = dpbtrs(cho, rM, overwrite_b=1)
+            if info:
+                raise RuntimeError(f"midpoint step solve failed (dpbtrs info={info})")
+            daxpy(rM, sy, a=half_dt)
+            np.subtract(rM, su, out=su)
+    bv *= d[-2]
+    bp *= d[-1]
 
     trace = EnergyTrace(times=times, energies=energies,
                         boundary_v_dot=bv, boundary_p_dot=bp)
-    final = np.stack([y, u]).reshape(2, n, 2).transpose(0, 2, 1).ravel()
+    final = (s_nodal * d_nodal).transpose(0, 2, 1).ravel()
     return IntegrationResult(trace=trace, final_state=final, states=states)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam import TABLE1, derive_constants
+from piezobeam import TABLE1, derive_constants, simulate
 from piezobeam.errors import DomainError
 from piezobeam.orfd import build_system, discrete_energy, hat_initial_condition
 from piezobeam.simulate import (
@@ -20,7 +20,7 @@ from piezobeam.simulate import (
     modal_trace,
 )
 
-from conftest import random_material
+from conftest import TOY, random_material
 
 quiet_dt = pytest.mark.filterwarnings(
     "ignore:dt=.*does not resolve:RuntimeWarning")
@@ -37,6 +37,16 @@ def test_undamped_midpoint_conserves_energy(table1):
     res = integrate(sys, sv, 1000e-8, 1e-8)
     E = res.trace.energies
     assert np.max(np.abs(E - E[0])) <= 1e-10 * E[0]
+
+
+@quiet_dt
+def test_undamped_midpoint_drift_at_reference_size(table1):
+    # the benchmark's zero-gain run (N=80, dt=1e-6), cut to 2000 steps
+    sys = build_system(table1, 80, 0.0, 0.0)
+    res = integrate(sys, hat_initial_condition(table1, 80, 0.5), 2000e-6, 1e-6)
+    E = res.trace.energies
+    assert E.shape == (2001,)
+    assert np.max(np.abs(E - E[0])) <= 5e-9 * E[0]
 
 
 @quiet_dt
@@ -101,6 +111,27 @@ def test_trace_shapes_and_boundary_columns(toy):
         np.testing.assert_allclose(res.trace.energies[k],
                                    discrete_energy(sys, res.states[k]),
                                    rtol=1e-12)
+
+
+def test_midpoint_makes_one_band_product_and_one_solve_per_step(toy, monkeypatch):
+    # one dsbmv per sample and one dpbtrs per step: a second product or
+    # solve per step would show here before it shows in the benchmark
+    calls = {"dsbmv": 0, "dpbtrs": 0}
+
+    def counted(name):
+        wrapped = getattr(simulate, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(simulate, name, counted(name))
+    sys = build_system(toy, 6, 0.3, 0.4)
+    res = integrate(sys, hat_initial_condition(toy, 6, 0.5), 50e-3, 1e-3)
+    assert res.trace.energies.shape == (51,)
+    assert calls == {"dsbmv": 51, "dpbtrs": 50}
 
 
 def _dense_midpoint_step(sys, dt, state):
@@ -177,20 +208,38 @@ def test_resolved_dt_is_quiet(toy):
         integrate(sys, sv, 5e-3, 1e-3)
 
 
-def test_radius_estimate_brackets_the_spectral_radius(table1, toy):
-    # rho(A_E) <= ||G|| + ||D|| <= 2 max(||G||, ||D||), and the estimate is
-    # not loose by more than a small factor either
+def _radius_cases():
     rng = np.random.default_rng(3)
-    cases = [(toy, 8, 0.5, 0.7), (table1, 40, 1e6, 1e9)]
+    cases = [(TOY, 8, 0.5, 0.7), (TABLE1, 40, 1e6, 1e9)]
     for _ in range(30):
         params = random_material(rng)
         cases.append((params, int(rng.integers(2, 25)),
                       np.sqrt(params.rho * params.alpha) * 10.0 ** rng.uniform(-4, 4),
                       np.sqrt(params.mu * params.beta) * 10.0 ** rng.uniform(-4, 4)))
-    for params, N, xi1, xi2 in cases:
+    return cases
+
+
+def test_radius_estimate_brackets_the_spectral_radius():
+    # rho(A_E) <= ||G|| + ||D|| <= 2 max(||G||, ||D||), and the estimate is
+    # not loose by more than a small factor either
+    for params, N, xi1, xi2 in _radius_cases():
         sys = build_system(params, N, xi1, xi2)
         rho = np.abs(np.linalg.eigvals(sys.A_E)).max()
         assert 0.5 * rho <= generator_radius_estimate(sys) <= 3.0 * rho
+
+
+def test_radius_estimate_mesh_norm_matches_svd():
+    # the closed-form norm of the mesh factor L_m^-1 L_Ah against its SVD;
+    # at zero gains D = 0 and the estimate is ||G||_2 alone
+    for params, N, xi1, xi2 in _radius_cases():
+        for gains in ((xi1, xi2), (0.0, 0.0)):
+            sys = build_system(params, N, *gains)
+            coupling, mesh = sys.G_factors
+            c, t = sys.D_factors
+            svd = max(np.linalg.norm(coupling, 2) * np.linalg.norm(mesh, 2),
+                      np.diag(c).max() * (t @ t))
+            np.testing.assert_allclose(generator_radius_estimate(sys), svd,
+                                       rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("T,dt", [(0.0, 1e-3), (-1.0, 1e-3), (np.nan, 1e-3),

@@ -57,16 +57,6 @@ def _load_params(args: argparse.Namespace) -> MaterialParams:
     return parse_config(path.read_text())
 
 
-def _json_safe(val):
-    if isinstance(val, Path):
-        return str(val)
-    if isinstance(val, (np.floating, np.integer)):
-        return val.item()
-    if isinstance(val, (list, tuple)):
-        return [_json_safe(v) for v in val]
-    return val
-
-
 def _write_manifest(command: str, args: argparse.Namespace, params: MaterialParams,
                     outputs: list[Path], wall: float) -> Path:
     if getattr(args, "out", None):
@@ -75,7 +65,8 @@ def _write_manifest(command: str, args: argparse.Namespace, params: MaterialPara
     else:
         path = Path(args.outdir) / f"{command}.manifest.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    options = {k: _json_safe(v) for k, v in vars(args).items()
+    # argparse leaves only str, int, float, bool and None here
+    options = {k: v for k, v in vars(args).items()
                if k not in ("func", "command") and not k.startswith("_")}
     manifest = {
         "command": command,
@@ -98,26 +89,18 @@ def _resolve_out(args: argparse.Namespace, default_name: str) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: str, rows: np.ndarray) -> None:
-    """Header, then one line per row of the 2-D array, each value as _fmt."""
+def _write_csv(path: Path, header: str, rows: np.ndarray, sep: str = ",") -> None:
+    """Header, then one line per row of the 2-D array, values as _fmt joined by sep."""
     rows = np.asarray(rows, dtype=float)
     # "%.17g" % x is format(x, ".17g"); one format per row is ~2x faster.
     # Blocks of rows keep the Python floats and strings of a long trace
     # from all being alive at once.
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    line = sep.join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
             block = rows[start:start + CSV_BLOCK_ROWS].tolist()
             fh.write("".join([line % tuple(row) for row in block]))
-
-
-def _write_matrix(path: Path, mat: np.ndarray) -> None:
-    mat = np.atleast_2d(mat)
-    with open(path, "w") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
 
 
 def _dump_matrices(sys_obj, outdir: Path) -> list[Path]:
@@ -128,7 +111,7 @@ def _dump_matrices(sys_obj, outdir: Path) -> list[Path]:
                       ("boundary_matrix", sys_obj.B_mat),
                       ("generator_matrix", sys_obj.A_E)):
         path = outdir / f"{name}.txt"
-        _write_matrix(path, mat)
+        _write_csv(path, f"{mat.shape[0]} {mat.shape[1]}", mat, sep=" ")
         written.append(path)
     return written
 

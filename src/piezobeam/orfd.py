@@ -4,7 +4,7 @@ The beam is clamped at x=0 and forced at x=L through the feedback law
 u = -diag(xi1, xi2) * (v_t(L), p_t(L)).  With N interior nodes plus the tip
 node (h = L/(N+1), clamped node eliminated) the semi-discrete system is
 
-    (C1 (x) M) x'' + (C2 (x) A_h) x + (C3 (x) B) x' = 0,   x = [v; p]
+    (C1 (x) M) x'' + (C2 (x) A_h) x + (diag(xi1, xi2) (x) B) x' = 0,   x = [v; p]
 
 with the (N+1)x(N+1) blocks
 
@@ -12,7 +12,7 @@ with the (N+1)x(N+1) blocks
     A_h = (1/h^2) tridiag(-1, 2, -1),  last diagonal entry 1/h^2
     B   = e_{N+1} e_{N+1}^T / h
 
-and the 2x2 coefficient matrices C1 = diag(rho, mu), C3 = diag(xi1, xi2),
+and the 2x2 coefficient matrices C1 = diag(rho, mu),
 C2 = [[alpha, -gamma*beta], [-gamma*beta, beta]].  The midpoint-node
 ("order-reduced") construction makes M = (1/4) E^T E and A_h = (1/h^2) D^T D
 for the cell averaging/differencing stencils E, D, so the discrete energy is
@@ -29,16 +29,26 @@ Its one first-order generator acts on the energy coordinates
 (Cholesky factors; both forms are SPD because
 alpha1 > 0), in which the discrete energy is (h/2) |z|^2 and
 
-    A_E = [[0, G^T], [-G, -D]],   G = L_M^-1 L_A,   D = L_M^-1 (C3 (x) B) L_M^-T.
+    A_E = [[0, G^T], [-G, -D]],   G = L_M^-1 L_A,
+    D = L_M^-1 (diag(xi1, xi2) (x) B) L_M^-T.
 
-Both blocks are Kronecker products of small factors (`G_factors`,
-`D_factors`).  D is positive semidefinite with two nonzero entries, the tip
-damping rates, so A_E + A_E^T <= 0 holds by construction and the
-eigenvectors are well conditioned (condition ~2).  Every eigenvalue
-analysis and the modal propagation run on A_E; the midpoint stepper works
-on the second-order form above.  to_energy_coords and from_energy_coords map
-nodal states [y; u] to z and back with the small Cholesky factors L_m, L_Ah
-and L_C2.
+G is the Kronecker product of two small factors (`G_factors`).  The damping
+is two tip rates: B = b b^T with b = e_{N+1}/sqrt(h), and L_m^-1 b is
+nonzero only in its tip entry, so D is diagonal with the two nonzeros
+
+    d_a = xi_a (M^-1)_NN / (c_a h) = 4(N+1) xi_a / (c_a h),   c = diag(C1),
+
+at the tip rates v_dot(L), p_dot(L) (`tip_rates`, `tip_index`).
+(M^-1)_NN = 4(N+1) exactly because M = (1/4) E^T E and the inverse of the
+bidiagonal stencil E is lower triangular with entries +-1.  D >= 0, so
+A_E + A_E^T <= 0 holds by construction and the eigenvectors are well
+conditioned (condition ~2).  Every eigenvalue analysis and the modal
+propagation run on A_E; the midpoint stepper works on the second-order form
+above.  to_energy_coords and from_energy_coords map nodal states [y; u] to z
+and back with the small Cholesky factors L_m, L_Ah and L_C2.
+
+The dense blocks are checked against MEMORY_BYTES where they are allocated:
+the mesh blocks in build_system and the generator in A_E.
 """
 
 from __future__ import annotations
@@ -51,6 +61,16 @@ import scipy.linalg as sla
 
 from .errors import DomainError
 from .materials import MaterialParams
+
+# Memory one call may take for its dense blocks and sample arrays.
+MEMORY_BYTES = 2**30
+
+
+def _check_memory(need: float, what: str, fewer: str) -> None:
+    if need > MEMORY_BYTES:
+        raise DomainError(
+            f"{what} needs about {need / 2**20:.0f} MiB, over the "
+            f"{MEMORY_BYTES / 2**20:.0f} MiB budget; request fewer {fewer}")
 
 
 @dataclass(eq=False)
@@ -70,7 +90,6 @@ class OrfdSystem:
     B_mat: np.ndarray
     C1: np.ndarray
     C2: np.ndarray
-    C3: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -99,46 +118,42 @@ class OrfdSystem:
         return (self.L_C2 / np.sqrt(np.diag(self.C1))[:, None],
                 sla.solve_triangular(self.L_m, self.L_Ah, lower=True))
 
-    @cached_property
-    def D_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(C1^-1 C3, t) with D = (C1^-1 C3) (x) t t^T.
+    @property
+    def tip_rates(self) -> np.ndarray:
+        """The damping rates 4(N+1) xi_a / (c_a h), the two nonzeros of D."""
+        return 4.0 * self.n_nodes * np.array([self.xi1, self.xi2]) / (np.diag(self.C1) * self.h)
 
-        With B = b b^T, b = e_{N+1} / sqrt(h), t = L_m^-1 b is nonzero only
-        in its tip entry, so D is diagonal with the tip damping rates.
-        """
-        t = sla.solve_triangular(self.L_m, np.sqrt(self.B_mat[:, -1]), lower=True)
-        return np.linalg.solve(self.C1, self.C3), t
+    @property
+    def tip_index(self) -> list[int]:
+        """Positions of v_dot(L) and p_dot(L) in nodal states and in z."""
+        return [3 * self.n_nodes - 1, 4 * self.n_nodes - 1]
 
     @cached_property
     def A_E(self) -> np.ndarray:
         """Generator on the energy coordinates z (module docstring)."""
         n = self.n_nodes
+        # A_E, and the copies and workspace of the eigensolves run on it
+        _check_memory(8 * 6 * (4 * n) ** 2, f"generator at N={self.N}", "nodes")
         G = np.kron(*self.G_factors)
         A_E = np.zeros((4 * n, 4 * n))
         A_E[: 2 * n, 2 * n:] = G.T
         A_E[2 * n:, : 2 * n] = -G
-        self._write_damping(A_E)
+        A_E[self.tip_index, self.tip_index] = -self.tip_rates
         return A_E
-
-    def _write_damping(self, A_E: np.ndarray) -> None:
-        """Write -D, this system's damping block, into the generator A_E."""
-        n = self.n_nodes
-        c, t = self.D_factors
-        A_E[2 * n:, 2 * n:] = -np.kron(c, np.outer(t, t))
 
     def with_gains(self, xi1: float, xi2: float) -> OrfdSystem:
         """The same beam at the amplifier pair (xi1, xi2).
 
         Shares the gain-independent factors L_m, L_Ah, L_C2 and G_factors;
-        its A_E is a copy of this system's with the damping block rewritten,
-        bit for bit what build_system at (xi1, xi2) assembles.
+        its A_E is a copy of this system's with the two tip entries
+        rewritten, bit for bit what build_system at (xi1, xi2) assembles.
         """
         _check_gains(xi1, xi2)
-        other = replace(self, xi1=float(xi1), xi2=float(xi2), C3=np.diag([xi1, xi2]))
+        other = replace(self, xi1=float(xi1), xi2=float(xi2))
         for name in ("L_m", "L_Ah", "L_C2", "G_factors"):
             other.__dict__[name] = getattr(self, name)  # fills the cached_property
         A_E = self.A_E.copy()
-        other._write_damping(A_E)
+        A_E[other.tip_index, other.tip_index] = -other.tip_rates
         other.__dict__["A_E"] = A_E
         return other
 
@@ -185,6 +200,7 @@ def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> Orfd
 
     n = N + 1
     h = params.L / n
+    _check_memory(8 * 3 * n**2, f"mesh blocks at N={N}", "nodes")
 
     M = 0.25 * (np.diag(np.full(n, 2.0)) + np.diag(np.ones(n - 1), 1)
                 + np.diag(np.ones(n - 1), -1))
@@ -198,11 +214,9 @@ def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> Orfd
     C1 = np.diag([params.rho, params.mu])
     C2 = np.array([[params.alpha, -params.gamma * params.beta],
                    [-params.gamma * params.beta, params.beta]])
-    C3 = np.diag([xi1, xi2])
 
     return OrfdSystem(N=int(N), h=h, xi1=float(xi1), xi2=float(xi2),
-                      M_mat=M, Ah_mat=Ah, B_mat=B,
-                      C1=C1, C2=C2, C3=C3)
+                      M_mat=M, Ah_mat=Ah, B_mat=B, C1=C1, C2=C2)
 
 
 def hat_initial_condition(params: MaterialParams, N: int,

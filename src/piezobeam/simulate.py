@@ -17,8 +17,8 @@ Two propagators:
   cannot resolve: damping of a mode at frequency w is suppressed by
   ~4/(w*dt)^2 once w*dt >> 1.  A warning is emitted when dt leaves the
   fastest mode unresolved, judged by `generator_radius_estimate`, which
-  reads a bound on the spectral radius of A_E from its Kronecker factors
-  and the closed-form norm of the mesh factor.
+  reads a bound on the spectral radius of A_E from the Kronecker factors of
+  G, the closed-form norm of the mesh factor and the two tip rates.
 * `modal_trace` -- exact propagation of the semi-discrete flow through the
   eigendecomposition of the generator A_E in energy coordinates (see `orfd`).
   dt-free; the sample times only decide where the trace is evaluated.  This
@@ -43,13 +43,10 @@ from scipy.linalg.blas import daxpy, ddot, dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DomainError
-from .orfd import OrfdSystem, check_state
+from .orfd import OrfdSystem, _check_memory, check_state
 
 # Ratio of E_h(0) used as the positivity floor when fitting log-energy.
 ENERGY_FLOOR_ULPS = 1e3 * np.finfo(float).eps
-
-# Memory one integrate or modal_trace call may take for its sample arrays.
-MEMORY_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -108,8 +105,9 @@ def _band(A: np.ndarray) -> np.ndarray:
 class _MidpointStepper:
     """Midpoint steps in second-order form, node-interleaved, banded, scaled.
 
-    In the ordering [v_0, p_0, v_1, p_1, ...] the forms are KM = M (x) C1,
-    KA = A_h (x) C2 and KB = B (x) C3, each of half-bandwidth 3.  With u = y'
+    In the ordering [v_0, p_0, v_1, p_1, ...] the forms are KM = M (x) C1
+    and KA = A_h (x) C2, each of half-bandwidth 3, and KB = B (x) diag(xi)
+    holds the tip gains xi/h on the last two diagonal entries.  With u = y'
     the step is S u+ = R u - dt KA y, y+ = y + (dt/2) (u + u+), where
 
         S = KM + (dt^2/4) KA + (dt/2) KB,   R = KM - (dt^2/4) KA - (dt/2) KB.
@@ -137,7 +135,9 @@ class _MidpointStepper:
     def __init__(self, sys: OrfdSystem, dt: float):
         KM = np.kron(sys.M_mat, sys.C1)
         KA = np.kron(sys.Ah_mat, sys.C2)
-        S = KM + 0.25 * dt * dt * KA + 0.5 * dt * np.kron(sys.B_mat, sys.C3)
+        S = KM + 0.25 * dt * dt * KA
+        # (dt/2) KB: B's one entry 1/h times the gains, on the tip node's v and p
+        S[[-2, -1], [-2, -1]] += 0.5 * dt * (sys.B_mat[-1, -1] * np.array([sys.xi1, sys.xi2]))
         d = 1.0 / np.sqrt(np.diag(S))
         self.d = np.concatenate([d, d])
 
@@ -159,22 +159,13 @@ def generator_radius_estimate(sys: OrfdSystem) -> float:
     factor L_m^-1 L_Ah has the singular values sqrt of the pencil
     (A_h, M)'s eigenvalues (4/h^2) tan^2(k_j h/2), k_j = (2j-1) pi/(2L), so
     its norm is (2/h) tan((2n-1) pi/(4n)) with n = N+1 nodes.  D is diagonal
-    with the tip rates d_a.  The spectral radius of A_E is at most
+    with the two tip rates.  The spectral radius of A_E is at most
     ||G||_2 + ||D||_2, so this is at least half of it.
     """
     n = sys.n_nodes
     coupling, _ = sys.G_factors
-    c, t = sys.D_factors
     mesh = 2.0 / sys.h * math.tan((2 * n - 1) * math.pi / (4 * n))
-    g = np.linalg.norm(coupling, 2) * mesh
-    return float(max(g, np.diag(c).max() * (t @ t)))
-
-
-def _check_memory(need: float, what: str, fewer: str) -> None:
-    if need > MEMORY_BYTES:
-        raise DomainError(
-            f"{what} needs about {need / 2**20:.0f} MiB, over the "
-            f"{MEMORY_BYTES / 2**20:.0f} MiB budget; request fewer {fewer}")
+    return float(max(np.linalg.norm(coupling, 2) * mesh, sys.tip_rates.max()))
 
 
 def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
@@ -185,8 +176,8 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     (dt * radius > 0.2); the scheme stays stable but the unresolved branch
     keeps its energy.  A non-finite initial state is a DomainError; a
     state that turns non-finite aborts the run with its step index.  Runs
-    whose arrays would exceed MEMORY_BYTES are refused before anything is
-    allocated.
+    whose arrays would exceed orfd.MEMORY_BYTES are refused before anything
+    is allocated.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"T must be positive, got {T!r}")
@@ -262,7 +253,7 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     (h/2) |z|^2 is monotone in time up to roundoff.  Energies and tip rates
     are read from z; nodal states are recovered for final_state and, with
     keep_states, for every sample.  Requests whose arrays would exceed
-    MEMORY_BYTES are refused before anything is allocated.
+    orfd.MEMORY_BYTES are refused before anything is allocated.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"T must be positive, got {T!r}")
@@ -305,7 +296,7 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     energies = 0.5 * sys.h * np.einsum("ij,ij->i", z, z)
     # u = C1^-1/2 Zu L_m^-1 and L_m is lower triangular, so the tip entry of
     # each rate block is its z entry over sqrt(c_a) L_m[N, N]
-    tip = z[:, [3 * n - 1, 4 * n - 1]] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[-1, -1])
+    tip = z[:, sys.tip_index] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[-1, -1])
     trace = EnergyTrace(times=times, energies=energies,
                         boundary_v_dot=tip[:, 0], boundary_p_dot=tip[:, 1])
     return IntegrationResult(trace=trace,

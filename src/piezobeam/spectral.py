@@ -34,6 +34,7 @@ from .materials import MaterialParams
 from .orfd import OrfdSystem, build_system
 
 RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to ||A||_2
+N_CERTIFY = 10  # dominant eigenvalues certified per spectrum, conjugates once
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
@@ -58,7 +59,7 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     max_real: float
     residual_max: float
-    certified: bool = True
+    certified: bool
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,10 @@ def _inverse_iteration_residual(A: np.ndarray, mu: complex, norm_A: float,
     return float(best)
 
 
-def spectrum(sys: OrfdSystem, certify: bool = True, n_certify: int = 10) -> SpectrumResult:
-    """All generator eigenvalues, optionally certifying the dominant pairs.
+def spectrum(sys: OrfdSystem) -> SpectrumResult:
+    """All generator eigenvalues, with the dominant pairs certified.
 
-    Certification reruns the n_certify eigenvalues of largest real part
+    Certification reruns the N_CERTIFY eigenvalues of largest real part
     (conjugates counted once) through inverse iteration and reports the worst
     residual; non-convergence is flagged rather than raised.
     """
@@ -151,10 +152,6 @@ def spectrum(sys: OrfdSystem, certify: bool = True, n_certify: int = 10) -> Spec
     lam = lam[order]
     max_real = float(lam.real.max())
 
-    if not certify:
-        return SpectrumResult(eigenvalues=lam, max_real=max_real,
-                              residual_max=np.nan, certified=False)
-
     norm_A = float(np.linalg.norm(sys.A_E, 2))
     rng = np.random.default_rng(987654321)
     picked = []
@@ -162,7 +159,7 @@ def spectrum(sys: OrfdSystem, certify: bool = True, n_certify: int = 10) -> Spec
         if mu.imag < 0.0 and any(np.isclose(mu.conjugate(), p) for p in picked):
             continue
         picked.append(mu)
-        if len(picked) == n_certify:
+        if len(picked) == N_CERTIFY:
             break
     residual_max = 0.0
     for mu in picked:
@@ -183,13 +180,14 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
     """Spectral abscissa over the (xi1, xi2) grid.
 
     The gain-independent blocks are assembled once; each cell copies them
-    with its own damping block (`OrfdSystem.with_gains`) and eigensolves the
-    copy.  Cells run on a pool of `threads` threads, one per CPU by default,
-    in parallel because the eigensolve releases the GIL.  More threads than
-    cores gain nothing and, where BLAS is itself threaded, oversubscribe the
-    cores.  Cells are written back by index, so the result is the same at
-    every thread count.  A failing cell is recorded and left as NaN instead
-    of killing the sweep.
+    with its own two tip entries (`OrfdSystem.with_gains`) and eigensolves
+    the copy.  Cells run on a pool of `threads` threads, one per CPU by
+    default, in parallel because the eigensolve releases the GIL.  More
+    threads than cores gain nothing and, where BLAS is itself threaded,
+    oversubscribe the cores.  Cells are written back by index, so the result
+    is the same at every thread count.  A failing cell is recorded and left
+    as NaN instead of killing the sweep.  A mesh too large for MEMORY_BYTES
+    (see `orfd`) fails the whole sweep with DomainError before any cell runs.
     """
     xi1_values = np.asarray(xi1_values, dtype=float)
     xi2_values = np.asarray(xi2_values, dtype=float)

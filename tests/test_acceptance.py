@@ -90,7 +90,7 @@ def test_acceptance_4_conservative_oracle(table1):
     res = integrate(sys, sv, 1e4 * 1e-8, 1e-8)
     E = res.trace.energies
     drift = float(np.max(np.abs(E - E[0])) / E[0])
-    lam = spectrum(sys, certify=False).eigenvalues
+    lam = spectrum(sys).eigenvalues
     radius = float(np.abs(lam).max())
     rel_real = float(lam.real.max() / radius)
     ok = drift <= 1e-8 and rel_real < 1e-8

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam import cli
+from piezobeam import cli, orfd
 from piezobeam.cli import CSV_BLOCK_ROWS, TABLE3_XI1, TABLE3_XI2, _write_csv, run
 from piezobeam.design import amplifier_intervals, epsilon_bounds
 from piezobeam.materials import (
@@ -309,6 +309,15 @@ def test_spectrum_stdout_and_file_agree(tmp_path, capsys):
     assert file_payload["certified"] is True
     assert len(file_payload["eigenvalues"]) == 4 * 13
     assert file_payload["max_real"] < 0.0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_generator_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(orfd, "MEMORY_BYTES", 2**20)
+    code, out, err = _run(capsys, command, "--N", "40", "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert "generator at N=40 needs about" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # no manifest, no output
 
 
 # ------------------------------------------------------------------- sweep

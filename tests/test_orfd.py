@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from piezobeam import (DomainError, build_system, discrete_energy, hat_initial_condition,
-                      integrate, modal_trace, perturbation_functional)
+                      integrate, modal_trace, orfd, perturbation_functional)
 
 from conftest import TOY, random_material
 
@@ -29,7 +29,10 @@ def test_matrices_literal_small(toy):
     np.testing.assert_allclose(sys.B_mat, B_want, rtol=0, atol=0)
     assert sys.C1[0, 0] == toy.rho and sys.C1[1, 1] == toy.mu
     assert sys.C2[0, 1] == sys.C2[1, 0] == -toy.gamma * toy.beta
-    assert sys.C3[0, 0] == 0.7 and sys.C3[1, 1] == 0.3
+    assert sys.xi1 == 0.7 and sys.xi2 == 0.3
+    # (M^-1)_NN = 4 (N+1) = 12 and h = 1/3
+    np.testing.assert_allclose(sys.tip_rates, 36.0 * np.array([0.7, 0.3]) / np.diag(sys.C1),
+                               rtol=1e-15)
 
 
 def nodal_generator_reference(sys):
@@ -39,7 +42,8 @@ def nodal_generator_reference(sys):
     ref = np.zeros((4 * n, 4 * n))
     ref[:2 * n, 2 * n:] = np.eye(2 * n)
     ref[2 * n:, :2 * n] = -np.kron(np.linalg.inv(sys.C1) @ sys.C2, Minv @ sys.Ah_mat)
-    ref[2 * n:, 2 * n:] = -np.kron(np.linalg.inv(sys.C1) @ sys.C3, Minv @ sys.B_mat)
+    C3 = np.diag([sys.xi1, sys.xi2])
+    ref[2 * n:, 2 * n:] = -np.kron(np.linalg.inv(sys.C1) @ C3, Minv @ sys.B_mat)
     return ref
 
 
@@ -55,7 +59,7 @@ def test_generator_blocks_match_reference(table1, toy):
         L_A = np.linalg.cholesky(np.kron(sys.C2, sys.Ah_mat))
         L_M_inv = np.linalg.inv(L_M)
         G_ref = L_M_inv @ L_A
-        D_ref = L_M_inv @ np.kron(sys.C3, sys.B_mat) @ L_M_inv.T
+        D_ref = L_M_inv @ np.kron(np.diag([sys.xi1, sys.xi2]), sys.B_mat) @ L_M_inv.T
         A = sys.A_E
         assert not A[:m, :m].any()
         np.testing.assert_allclose(A[:m, m:], G_ref.T, rtol=0, atol=1e-12 * np.abs(G_ref).max())
@@ -121,7 +125,7 @@ def test_with_gains_matches_build_system(table1, toy):
                 got = base.with_gains(xi1, xi2)
                 want = build_system(params, N, xi1, xi2)
                 assert (got.xi1, got.xi2) == (want.xi1, want.xi2)
-                np.testing.assert_array_equal(got.C3, want.C3)
+                assert got.tip_rates.tobytes() == want.tip_rates.tobytes()
                 # bit for bit, signed zeros included
                 assert got.A_E.tobytes() == want.A_E.tobytes()
                 for name in ("L_m", "L_Ah", "L_C2", "G_factors"):
@@ -137,6 +141,19 @@ def test_with_gains_rejects_like_build_system(toy, gains):
     with pytest.raises(DomainError) as replaced:
         build_system(toy, 8, 1.0, 1.0).with_gains(*gains)
     assert str(replaced.value) == str(built.value)
+
+
+def test_memory_budget_is_checked_where_blocks_are_allocated(toy, monkeypatch):
+    # 1 MiB: the three (N+1)^2 mesh blocks fit up to N=208, the generator's
+    # 6 (4(N+1))^2 doubles up to N=35
+    monkeypatch.setattr(orfd, "MEMORY_BYTES", 2**20)
+    with pytest.raises(DomainError, match="mesh blocks at N=250 needs about 1 MiB.*fewer nodes"):
+        build_system(toy, 250, 1.0, 1.0)
+    sys = build_system(toy, 40, 1.0, 1.0)
+    with pytest.raises(DomainError, match="generator at N=40 needs about 1 MiB"):
+        sys.A_E
+    assert "A_E" not in sys.__dict__
+    build_system(toy, 35, 1.0, 1.0).A_E
 
 
 def test_energy_matches_dense_reference(table1, toy):

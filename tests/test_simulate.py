@@ -145,7 +145,7 @@ def _dense_midpoint_step(sys, dt, state):
     n = sys.N + 1
     KM = np.kron(sys.C1, sys.M_mat).astype(ld)
     KA = np.kron(sys.C2, sys.Ah_mat).astype(ld)
-    KB = np.kron(sys.C3, sys.B_mat).astype(ld)
+    KB = np.kron(np.diag([sys.xi1, sys.xi2]), sys.B_mat).astype(ld)
     dt = ld(dt)
     S = KM + dt * dt / 4 * KA + dt / 2 * KB
     R = KM - dt * dt / 4 * KA - dt / 2 * KB
@@ -235,9 +235,9 @@ def test_radius_estimate_mesh_norm_matches_svd():
         for gains in ((xi1, xi2), (0.0, 0.0)):
             sys = build_system(params, N, *gains)
             coupling, mesh = sys.G_factors
-            c, t = sys.D_factors
-            svd = max(np.linalg.norm(coupling, 2) * np.linalg.norm(mesh, 2),
-                      np.diag(c).max() * (t @ t))
+            tip = (max(np.array(gains) / np.diag(sys.C1))
+                   * np.linalg.inv(sys.M_mat)[-1, -1] / sys.h)
+            svd = max(np.linalg.norm(coupling, 2) * np.linalg.norm(mesh, 2), tip)
             np.testing.assert_allclose(generator_radius_estimate(sys), svd,
                                        rtol=1e-12, atol=0)
 

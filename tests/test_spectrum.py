@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam import spectral
+from piezobeam import orfd, spectral
 from piezobeam.errors import DomainError
 from piezobeam.orfd import build_system
 from piezobeam.spectral import (
@@ -33,14 +33,14 @@ FROZEN_ABSCISSA = {
 
 def test_spectrum_is_conjugate_closed(toy):
     sys = build_system(toy, 6, 0.5, 0.7)
-    lam = spectrum(sys, certify=False).eigenvalues
+    lam = spectrum(sys).eigenvalues
     np.testing.assert_array_equal(np.sort_complex(lam),
                                   np.sort_complex(lam.conj()))
 
 
 def test_spectrum_count_and_ordering(toy):
     sys = build_system(toy, 6, 0.5, 0.7)
-    res = spectrum(sys, certify=False)
+    res = spectrum(sys)
     assert res.eigenvalues.shape == (4 * 7,)
     assert np.all(np.diff(res.eigenvalues.real) <= 0.0)
     assert res.max_real == res.eigenvalues[0].real
@@ -48,7 +48,7 @@ def test_spectrum_count_and_ordering(toy):
 
 def test_undamped_spectrum_sits_on_imaginary_axis(table1):
     sys = build_system(table1, 40, 0.0, 0.0)
-    lam = spectrum(sys, certify=False).eigenvalues
+    lam = spectrum(sys).eigenvalues
     assert lam.real.max() <= 1e-8 * np.abs(lam).max()
     assert lam.real.min() >= -1e-8 * np.abs(lam).max()
 
@@ -97,25 +97,21 @@ def test_frozen_abscissas_do_not_depend_on_blas_threads():
 
 def test_certificate_reaches_threshold(table1):
     sys = build_system(table1, 24, 1e6, 1e9)
-    res = spectrum(sys, certify=True)
+    res = spectrum(sys)
     assert res.certified
     assert 0.0 < res.residual_max <= RESIDUAL_RTOL
 
 
-def test_certify_off_skips_residuals(toy):
-    sys = build_system(toy, 6, 0.5, 0.7)
-    res = spectrum(sys, certify=False)
-    assert not res.certified
-    assert np.isnan(res.residual_max)
-    with_cert = spectrum(sys, certify=True)
-    np.testing.assert_array_equal(res.eigenvalues, with_cert.eigenvalues)
-    assert with_cert.certified
+def test_spectrum_refuses_a_generator_over_the_memory_budget(toy, monkeypatch):
+    monkeypatch.setattr(orfd, "MEMORY_BYTES", 2**20)
+    with pytest.raises(DomainError, match="generator at N=40 needs about"):
+        spectrum(build_system(toy, 40, 0.5, 0.7))
 
 
 def test_abscissa_matches_full_spectrum(toy):
     sys = build_system(toy, 7, 0.3, 0.2)
     np.testing.assert_allclose(spectral_abscissa(sys),
-                               spectrum(sys, certify=False).max_real,
+                               spectrum(sys).max_real,
                                rtol=1e-12)
 
 
@@ -246,6 +242,13 @@ def test_sweep_rejects_bad_mesh_size(toy):
     # the mesh is shared by every cell, so it fails the sweep, not each cell
     with pytest.raises(DomainError, match="N must be"):
         sweep(toy, 1, [1.0], [1.0])
+
+
+def test_sweep_refuses_a_generator_over_the_memory_budget(toy, monkeypatch):
+    # the whole sweep fails up front, not each cell
+    monkeypatch.setattr(orfd, "MEMORY_BYTES", 2**20)
+    with pytest.raises(DomainError, match="generator at N=40 needs about"):
+        sweep(toy, 40, [1.0, 2.0], [1.0])
 
 
 def test_sweep_rejects_bad_thread_count(toy):

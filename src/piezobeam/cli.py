@@ -25,7 +25,7 @@ from .errors import DomainError
 from .materials import (TABLE1, MaterialParams, derive_constants, format_config,
                         parse_config)
 from .orfd import build_system, hat_initial_condition
-from .simulate import envelope_check, fit_decay, integrate, modal_trace
+from .simulate import envelope_check, fit_decay, integrate, max_energy_rise, modal_trace
 from .spectral import spectrum, sweep
 
 PRESET_DIR_ENV = "PIEZOBEAM_PRESET_DIR"
@@ -192,7 +192,8 @@ def cmd_simulate(args: argparse.Namespace,
         outputs += _dump_matrices(system, Path(args.outdir))
 
     summary = {"E0": float(E0), "E_final": float(trace.energies[-1]),
-               "samples": int(trace.times.size)}
+               "samples": int(trace.times.size),
+               "max_energy_rise": max_energy_rise(trace.energies)}
     if args.xi1 == 0.0 and args.xi2 == 0.0:
         # A rate fitted here would fit the roundoff drift of a conserved energy.
         summary.update(sigma_fit=None,

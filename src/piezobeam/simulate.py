@@ -25,8 +25,9 @@ Two propagators:
   is the reference for stiff amplifier pairs (realistic constants put the
   fastest mode near 1e13 rad/s, far beyond any feasible midpoint step).
   A_E + A_E^T <= 0 and its eigenbasis is well conditioned, so the sampled
-  energy (h/2)|z|^2 is monotone in time and the trace agrees across BLAS
-  thread counts to roundoff.
+  energy (h/2)|z|^2 is monotone in time wherever the computed eigenvalues
+  are accurate.  At stiff gains they are not (ROADMAP item 1), the trace
+  can grow and depends on the BLAS thread count, and a warning says so.
 
 Both take and return states as flat arrays [v, p, v_dot, p_dot] of length
 4(N+1).
@@ -45,7 +46,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from .errors import DomainError
 from .orfd import OrfdSystem, _check_memory, check_state
 
-# Ratio of E_h(0) used as the positivity floor when fitting log-energy.
+# Ratio of E_h(0) used as the positivity floor when fitting log-energy, and
+# the largest rise between samples a modal trace may show without a warning.
 ENERGY_FLOOR_ULPS = 1e3 * np.finfo(float).eps
 
 
@@ -250,10 +252,14 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     Propagates the energy coordinates z (see `orfd`) through one dense
     eigendecomposition of the dissipative generator A_E; any stiffness is
     fine.  The eigenbasis is well conditioned, so the sampled energy
-    (h/2) |z|^2 is monotone in time up to roundoff.  Energies and tip rates
-    are read from z; nodal states are recovered for final_state and, with
-    keep_states, for every sample.  Requests whose arrays would exceed
-    orfd.MEMORY_BYTES are refused before anything is allocated.
+    (h/2) |z|^2 is monotone in time up to roundoff where the eigenvalues
+    are accurate.  With a gain above zero, a rise above
+    ENERGY_FLOOR_ULPS * E(0) between samples (`max_energy_rise`) is warned
+    about: dense eigenvalues carry an absolute error ~eps ||A_E||, which at
+    stiff gains can put slow modes in the right half-plane.  Energies and
+    tip rates are read from z; nodal states are recovered for final_state
+    and, with keep_states, for every sample.  Requests whose arrays would
+    exceed orfd.MEMORY_BYTES are refused before anything is allocated.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"T must be positive, got {T!r}")
@@ -294,6 +300,13 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
         z[start:start + K] = np.hstack([p.real, -p.imag[:, cplx]]) @ basis.T
 
     energies = 0.5 * sys.h * np.einsum("ij,ij->i", z, z)
+    rise = max_energy_rise(energies)
+    # at zero gains the flow conserves energy and the trace wobbles by roundoff
+    if (sys.xi1 or sys.xi2) and rise > ENERGY_FLOOR_ULPS:
+        warnings.warn(
+            f"modal energy rose by {rise:.3g} E0 between two samples, which the "
+            "dissipative flow rules out: the generator eigenvalues are inaccurate "
+            "at these gains (ROADMAP item 1)", RuntimeWarning, stacklevel=2)
     # u = C1^-1/2 Zu L_m^-1 and L_m is lower triangular, so the tip entry of
     # each rate block is its z entry over sqrt(c_a) L_m[N, N]
     tip = z[:, sys.tip_index] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[-1, -1])
@@ -302,6 +315,11 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     return IntegrationResult(trace=trace,
                              final_state=sys.from_energy_coords(z[-1]),
                              states=sys.from_energy_coords(z) if keep_states else None)
+
+
+def max_energy_rise(energies: np.ndarray) -> float:
+    """Largest increase of the energy from one sample to the next, over E(0)."""
+    return max(0.0, float(np.max(np.diff(energies)))) / float(energies[0])
 
 
 def fit_decay(trace: EnergyTrace, window: tuple[float, float] = (0.1, 0.9)) -> DecayFit:

@@ -4,30 +4,43 @@ The spectral abscissa max Re(mu) of the generator is the decay rate the
 semi-discrete system actually delivers; sweeping it over the amplifier plane
 maps where the certified design intervals sit relative to the truly optimal
 gains.  Every eigensolve runs on A_E, the generator in energy coordinates
-(see `piezobeam.orfd`), whose eigenvectors have condition ~2, so the
-abscissa does not depend on the BLAS thread count.  It matches a 40-digit
-oracle (tests/oracle_frozen_abscissa.py) to 1e-8 relative at the reference
-pairs, at 1 and at 2 BLAS threads.  Dense LAPACK eigensolves throughout (the
-generator is small; sparse iteration buys nothing here).  Single-point calls
-certify the dominant eigenvalues with an independent inverse-iteration
-residual relative to ||A_E||_2.
+(see `piezobeam.orfd`), with dense LAPACK routines (the generator is small;
+sparse iteration buys nothing here).  At the reference pairs the abscissa
+agrees with 40-digit oracles (tests/oracle_frozen_abscissa.py and
+bench/oracle.py) to between 8.5e-10 and 4.2e-7 relative.  The dense
+eigenvalues carry an absolute error ~eps ||A_E||_2, and at stiff gains,
+where the tip rates make ||A_E||_2 ~1e22, that error swamps the slow modes:
+there the abscissa can come out positive and depends on the BLAS thread
+count (ROADMAP item 1).
 
-The eigensolve is LAPACK dgeev, the routine numpy's `eigvals` runs, called
-through the C-API capsule that scipy.linalg.cython_lapack exports.  A ctypes
-call releases the GIL for the whole dgeev, which numpy's and scipy's own
-wrappers hold, so the cells of a sweep run in parallel on its thread pool.
+`spectrum` certifies its dominant eigenvalues: each gets an eigenvector by
+inverse iteration on the Hessenberg form of A_E (LAPACK dhsein, from seeded
+random start vectors), and the residual |A_E x - mu x| / (|x| ||A_E||_2) is
+checked against RESIDUAL_RTOL.  The certificate shows that each mu is an
+eigenvalue of a matrix within that relative distance of A_E; it cannot show
+the error above, which is of the same relative size.
+
+LAPACK is called through the C-API capsules that scipy.linalg.cython_lapack
+exports (`_lapack`).  A ctypes call releases the GIL for the whole routine,
+which numpy's and scipy's own wrappers hold, so the dgeev calls of a sweep
+run in parallel on its thread pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cython_lapack
+import scipy
+from scipy.linalg import cython_lapack, lapack
 
 from .errors import DomainError
 from .materials import MaterialParams
@@ -40,20 +53,96 @@ _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
-_dgeev_capsule = cython_lapack.__pyx_capi__["dgeev"]
-# dgeev(jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info),
-# every argument by reference.  A CFUNCTYPE call releases the GIL.
-_dgeev = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(
-    _capsule_pointer(_dgeev_capsule, _capsule_name(_dgeev_capsule)))
+
+
+def _lapack(name: str):
+    """LAPACK routine `name` of scipy.linalg.cython_lapack, called through ctypes.
+
+    Fortran takes every argument by reference.  Arrays pass their data
+    pointer, bytes and ints are passed as a one-element char or int, and
+    ctypes objects (outputs such as INFO) as themselves.  The capsule's name
+    is the C signature, which gives the argument count.  A CFUNCTYPE call
+    releases the GIL.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(b",") + 1))(
+        _capsule_pointer(capsule, signature))
+
+    def call(*args) -> None:
+        refs = [ctypes.c_char(a) if isinstance(a, bytes)
+                else ctypes.c_int(a) if isinstance(a, int) else a for a in args]
+        routine(*[r.ctypes.data if isinstance(r, np.ndarray) else ctypes.addressof(r)
+                  for r in refs])
+
+    return call
+
+
+_dgeev = _lapack("dgeev")
+_dhsein = _lapack("dhsein")
+_dormhr = _lapack("dormhr")
+
+
+def _with_workspace(call) -> None:
+    """Run call(work, lwork) the LAPACK way: a query with lwork = -1, which
+    leaves the optimal size in work[0], then the call with that workspace."""
+    query = np.empty(1)
+    call(query, -1)
+    call(np.empty(int(query[0])), int(query[0]))
+
+
+@functools.cache
+def _scipy_openblas() -> ctypes.CDLL | None:
+    """scipy's bundled OpenBLAS, the library cython_lapack runs on, if it is
+    loaded and exports its thread-count functions; otherwise None."""
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob(
+            "libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)  # only if already loaded
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+# The thread count is process-wide, so sweeps in concurrent threads take
+# turns instead of restoring each other's count.
+_BLAS_PIN = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with scipy's OpenBLAS on one thread, then restore its
+    thread count.  Without the library (see `_scipy_openblas`) nothing
+    changes."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    with _BLAS_PIN:
+        old = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(1)
+        try:
+            yield
+        finally:
+            lib.scipy_openblas_set_num_threads(old)
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
     """Full spectrum at one amplifier pair with a residual certificate.
 
-    residual_max is the largest inverse-iteration residual |A x - mu x| over
-    the certified pairs, relative to ||A||_2; certified is False when the
-    refinement failed to reach the threshold (partial result).
+    eigenvalues are sorted by decreasing real part and max_real is the
+    first one's, both exactly as dgeev returns them.  residual_max is the
+    largest |A_E x - mu x| / (|x| ||A_E||_2) over the N_CERTIFY dominant
+    eigenvalues mu (conjugates once), each x found by inverse iteration on
+    the Hessenberg form of A_E.  certified is False when that exceeds
+    RESIDUAL_RTOL or an inverse iteration did not converge.
     """
 
     eigenvalues: np.ndarray
@@ -91,83 +180,103 @@ def _eigvals(A: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     wr, wi = np.empty(n), np.empty(n)
     unused = np.empty(1)  # vl and vr: not referenced without eigenvectors
-    job, size, one = ctypes.c_char(b"N"), ctypes.c_int(n), ctypes.c_int(1)
-    lwork, info = ctypes.c_int(-1), ctypes.c_int(0)
+    info = ctypes.c_int(0)
 
-    def call(work: np.ndarray) -> None:
-        ref = ctypes.byref
-        _dgeev(ref(job), ref(job), ref(size), a.ctypes.data, ref(size),
-               wr.ctypes.data, wi.ctypes.data, unused.ctypes.data, ref(one),
-               unused.ctypes.data, ref(one), work.ctypes.data, ref(lwork), ref(info))
+    def call(work: np.ndarray, lwork: int) -> None:
+        _dgeev(b"N", b"N", n, a, n, wr, wi, unused, 1, unused, 1, work, lwork, info)
         if info.value > 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         if info.value < 0:
             raise np.linalg.LinAlgError(f"dgeev rejected argument {-info.value}")
 
-    query = np.empty(1)
-    call(query)  # lwork = -1: the optimal workspace size lands in query[0]
-    lwork.value = int(query[0])
-    call(np.empty(lwork.value))
+    _with_workspace(call)
     lam = np.empty(n, dtype=complex)
     lam.real, lam.imag = wr, wi
     return lam
 
 
-def _inverse_iteration_residual(A: np.ndarray, mu: complex, norm_A: float,
-                                rng: np.random.Generator, iters: int = 4) -> float:
-    """Best relative residual of an eigenpair rebuilt at mu by inverse iteration.
+def _right_eigenvectors(A: np.ndarray, lam: np.ndarray,
+                        select: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Right eigenvectors of A at the eigenvalues lam[select], by inverse
+    iteration on the Hessenberg form of A.
 
-    Independent of the vectors the eigensolver produced: starts from a random
-    vector and only uses shifted solves.
+    lam holds all eigenvalues in LAPACK order (conjugate pairs adjacent,
+    Im > 0 first), and select marks one member of each wanted pair.
+    dgehrd reduces A = Q H Q^T once.  dhsein runs inverse iteration on H,
+    O(n^2) per eigenvalue, from seeded random start vectors, so the vectors
+    owe nothing to the eigensolver that produced lam.  dormhr applies Q to
+    the computed columns only.  Returns the vectors as complex columns in
+    the order of lam[select], and whether dhsein reports all converged.
     """
-    n = A.shape[0]
-    I = np.eye(n)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    shift = mu
-    best = np.inf
-    for _ in range(iters):
-        try:
-            y = np.linalg.solve(A - shift * I, x)
-        except np.linalg.LinAlgError:
-            # exactly singular shift: nudge off the eigenvalue by one part in 1e13
-            shift = mu * (1.0 + 1e-13) + 1e-13 * norm_A
-            continue
-        x = y / np.linalg.norm(y)
-        best = min(best, np.linalg.norm(A @ x - mu * x) / norm_A)
-        if best <= RESIDUAL_RTOL:
-            break
-    return float(best)
+    n = lam.size
+    hq, tau, info = lapack.dgehrd(A, lwork=int(lapack.dgehrd_lwork(n)[0]))
+    if info:
+        raise np.linalg.LinAlgError(f"dgehrd rejected argument {-info}")
+    hq = np.asfortranarray(hq)  # H on and above the subdiagonal, the reflectors below
+    # dhsein's columns: one per real eigenvalue, Re and Im for each pair
+    pair = lam.imag[select] != 0.0
+    start = np.concatenate([[0], np.cumsum(1 + pair)[:-1]])
+    cols = int(np.sum(1 + pair))
+    V = np.asfortranarray(np.random.default_rng(987654321).standard_normal((n, cols)))
+    ifail = np.zeros(cols, dtype=np.int32)
+    info = ctypes.c_int(0)
+    # INITV = 'U': the start vectors are V's columns.  dhsein may perturb
+    # close eigenvalues in its copies of wr and wi.
+    _dhsein(b"R", b"N", b"U", select.astype(np.int32), n, hq, n,
+            lam.real.copy(), lam.imag.copy(), np.empty(1), 1, V, n,
+            cols, ctypes.c_int(0), np.empty((n + 2) * n), np.empty(1, dtype=np.int32),
+            ifail, info)
+    if info.value < 0:
+        raise np.linalg.LinAlgError(f"dhsein rejected argument {-info.value}")
+    converged = info.value == 0 and not ifail.any()
+
+    def apply_q(work: np.ndarray, lwork: int) -> None:
+        _dormhr(b"L", b"N", n, cols, 1, n, hq, n, tau, V, n, work, lwork, info)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dormhr rejected argument {-info.value}")
+
+    _with_workspace(apply_q)
+    X = V[:, start].astype(complex)
+    X.imag[:, pair] = V[:, start[pair] + 1]
+    return X, converged
+
+
+def _generator_norm(sys: OrfdSystem) -> float:
+    """||A_E||_2 from one symmetric eigensolve.
+
+    J A_E = [[0, G^T], [G, D]] with J = diag(I, -I) is symmetric and J is
+    orthogonal, so ||A_E||_2 is the largest |eigenvalue| of J A_E.
+    """
+    JA = sys.A_E.copy()
+    JA[2 * sys.n_nodes:] *= -1.0
+    w = np.linalg.eigvalsh(JA)
+    return float(max(-w[0], w[-1]))
 
 
 def spectrum(sys: OrfdSystem) -> SpectrumResult:
     """All generator eigenvalues, with the dominant pairs certified.
 
-    Certification reruns the N_CERTIFY eigenvalues of largest real part
-    (conjugates counted once) through inverse iteration and reports the worst
-    residual; non-convergence is flagged rather than raised.
+    The N_CERTIFY eigenvalues mu of largest real part (conjugates counted
+    once) each get a vector x by inverse iteration on the Hessenberg form
+    (`_right_eigenvectors`), and residual_max is the largest
+    |A_E x - mu x| / (|x| ||A_E||_2).  A vector that dhsein reports
+    unconverged leaves the result uncertified rather than raising.
     """
-    lam = _eigvals(sys.A_E)
+    A = sys.A_E
+    lam = _eigvals(A)
     order = np.argsort(-lam.real, kind="stable")
+    # the Im > 0 member of a pair comes first in LAPACK order
+    select = np.zeros(lam.size, dtype=bool)
+    select[order[lam.imag[order] >= 0.0][:N_CERTIFY]] = True
+    X, converged = _right_eigenvectors(A, lam, select)
+    AX = A @ X.real + 1j * (A @ X.imag)  # A @ X would make a complex copy of A
+    residuals = (np.linalg.norm(AX - X * lam[select], axis=0)
+                 / (np.linalg.norm(X, axis=0) * _generator_norm(sys)))
+    residual_max = float(residuals.max())
     lam = lam[order]
-    max_real = float(lam.real.max())
-
-    norm_A = float(np.linalg.norm(sys.A_E, 2))
-    rng = np.random.default_rng(987654321)
-    picked = []
-    for mu in lam:
-        if mu.imag < 0.0 and any(np.isclose(mu.conjugate(), p) for p in picked):
-            continue
-        picked.append(mu)
-        if len(picked) == N_CERTIFY:
-            break
-    residual_max = 0.0
-    for mu in picked:
-        residual_max = max(residual_max,
-                           _inverse_iteration_residual(sys.A_E, mu, norm_A, rng))
-    return SpectrumResult(eigenvalues=lam, max_real=max_real,
+    return SpectrumResult(eigenvalues=lam, max_real=float(lam.real.max()),
                           residual_max=residual_max,
-                          certified=residual_max <= RESIDUAL_RTOL)
+                          certified=converged and residual_max <= RESIDUAL_RTOL)
 
 
 def spectral_abscissa(sys: OrfdSystem) -> float:
@@ -182,10 +291,12 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
     The gain-independent blocks are assembled once; each cell copies them
     with its own two tip entries (`OrfdSystem.with_gains`) and eigensolves
     the copy.  Cells run on a pool of `threads` threads, one per CPU by
-    default, in parallel because the eigensolve releases the GIL.  More
-    threads than cores gain nothing and, where BLAS is itself threaded,
-    oversubscribe the cores.  Cells are written back by index, so the result
-    is the same at every thread count.  A failing cell is recorded and left
+    default, in parallel because the eigensolve releases the GIL.  While the
+    pool runs, scipy's OpenBLAS is held to one thread (`_one_blas_thread`),
+    so the cells do not oversubscribe the cores and each eigensolve is the
+    same at every BLAS thread count.  More pool threads than cores gain
+    nothing.  Cells are written back by index, so the result is the same at
+    every pool size.  A failing cell is recorded and left
     as NaN instead of killing the sweep.  A mesh too large for MEMORY_BYTES
     (see `orfd`) fails the whole sweep with DomainError before any cell runs.
     """
@@ -207,7 +318,7 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
         return spectral_abscissa(base.with_gains(xi1_values[i], xi2_values[j]))
 
     indices = [(i, j) for i in range(xi1_values.size) for j in range(xi2_values.size)]
-    with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
         futures = {idx: pool.submit(cell, idx) for idx in indices}
         for (i, j), fut in futures.items():
             try:

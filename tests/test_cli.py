@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,8 +219,34 @@ def test_simulate_nonzero_gains_fit_a_rate(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["sigma_fit"] > 0.0
-    assert set(summary) == {"E0", "E_final", "samples", "sigma_fit", "r_squared",
-                            "fit_window", "fit_truncated"}
+    assert set(summary) == {"E0", "E_final", "samples", "max_energy_rise", "sigma_fit",
+                            "r_squared", "fit_window", "fit_truncated"}
+
+
+def _modal_run(capsys, tmp_path, xi1, xi2):
+    """Summary and energy column of a modal run at N=80, T=0.1."""
+    code, out, _ = _run(capsys, "simulate", "--method", "modal", "--N", "80",
+                        "--T", "0.1", "--xi1", repr(xi1), "--xi2", repr(xi2),
+                        "--out", str(tmp_path / "t.csv"), "--outdir", str(tmp_path))
+    assert code == 0
+    return json.loads(out), np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)[:, 1]
+
+
+def test_modal_energy_never_rises_in_the_design_box(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary, _ = _modal_run(capsys, tmp_path, 3176991.0945939, 4038705.294550744)
+    assert summary["max_energy_rise"] == 0.0
+
+
+def test_modal_run_warns_when_the_energy_rises(tmp_path, capsys):
+    # a stiff pair where the dense eigenvalue error puts slow modes in the
+    # right half-plane: the trace grows (6.7e7 E0 in one step at one BLAS
+    # thread) although the flow is dissipative
+    with pytest.warns(RuntimeWarning, match="ROADMAP item 1"):
+        summary, E = _modal_run(capsys, tmp_path, 2717531.7989583514, 113661022049.06326)
+    assert summary["max_energy_rise"] == np.max(np.diff(E)) / E[0]
+    assert summary["max_energy_rise"] > 1.0
 
 
 def test_csv_writer_matches_per_value_format(tmp_path):

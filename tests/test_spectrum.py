@@ -16,6 +16,7 @@ from piezobeam.orfd import build_system
 from piezobeam.spectral import (
     RESIDUAL_RTOL,
     _eigvals,
+    _generator_norm,
     spectral_abscissa,
     spectrum,
     sweep,
@@ -100,6 +101,60 @@ def test_certificate_reaches_threshold(table1):
     res = spectrum(sys)
     assert res.certified
     assert 0.0 < res.residual_max <= RESIDUAL_RTOL
+
+
+def test_certificate_rejects_an_eigenvalue_off_the_spectrum(table1, monkeypatch):
+    # the certificate is not vacuous: moving the dominant eigenvalue (and
+    # its conjugate) by 1e-6 ||A_E||_2 must fail the residual threshold
+    sys = build_system(table1, 24, 1e6, 1e9)
+    shift = 1e-6 * np.linalg.norm(sys.A_E, 2)
+    real_eigvals = spectral._eigvals
+
+    def moved(A):
+        lam = real_eigvals(A)
+        k = int(np.argmax(lam.real))
+        lam[k] += shift
+        if lam[k].imag != 0.0:  # keep the pair conjugate: dgeev stores it adjacent
+            lam[k + (1 if lam[k].imag > 0 else -1)] += shift
+        return lam
+
+    monkeypatch.setattr(spectral, "_eigvals", moved)
+    res = spectrum(sys)
+    assert not res.certified
+    assert res.residual_max > RESIDUAL_RTOL
+
+
+def test_an_unconverged_eigenvector_is_reported_not_raised(table1, monkeypatch):
+    # dhsein flags a vector it could not converge through INFO and IFAILR;
+    # the result is then uncertified even though the residuals are small
+    sys = build_system(table1, 24, 1e6, 1e9)
+    real_dhsein = spectral._dhsein
+
+    def failing(*args):
+        real_dhsein(*args)
+        args[-2][0] = 1  # IFAILR: the first column did not converge
+        args[-1].value = 1  # INFO: one failure
+
+    monkeypatch.setattr(spectral, "_dhsein", failing)
+    res = spectrum(sys)
+    assert not res.certified
+    assert res.residual_max <= RESIDUAL_RTOL
+
+
+@pytest.mark.parametrize("gains", [(0.0, 0.0), (0.5, 0.7), (1e6, 1e9), (1e12, 1e12)])
+def test_generator_norm_matches_the_svd(table1, gains):
+    sys = build_system(table1, 16, *gains)
+    np.testing.assert_allclose(_generator_norm(sys), np.linalg.norm(sys.A_E, 2), rtol=1e-13)
+
+
+@pytest.mark.parametrize("N", [16, 80])
+def test_spectrum_reports_the_eigensolve_bit_for_bit(table1, N):
+    sys = build_system(table1, N, 1e6, 1e9)
+    lam = _eigvals(sys.A_E)
+    res = spectrum(sys)
+    np.testing.assert_array_equal(res.eigenvalues,
+                                  lam[np.argsort(-lam.real, kind="stable")])
+    assert res.max_real == spectral_abscissa(sys)
 
 
 def test_spectrum_refuses_a_generator_over_the_memory_budget(toy, monkeypatch):
@@ -215,6 +270,44 @@ def test_sweep_is_deterministic_across_runs_and_threads(toy):
                 sweep(toy, 6, xi1s, xi2s, threads=threads).max_real_grid, a.max_real_grid)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_sweep_pins_blas_to_one_thread_and_restores_it():
+    # a stiff N=40 grid whose dgeev results move with the OpenBLAS thread
+    # count.  Three sweeps run at once, in threads that share the
+    # process-wide count; each holds BLAS at one thread, so every grid of
+    # both runs agrees bit for bit, and the count is restored afterwards.
+    code = (
+        "import json, threading\n"
+        "import numpy as np\n"
+        "from piezobeam import TABLE1\n"
+        "from piezobeam.spectral import _scipy_openblas, sweep\n"
+        "lib = _scipy_openblas()\n"
+        "before = lib.scipy_openblas_get_num_threads()\n"
+        "axis = np.logspace(-8, 12, 5)\n"
+        "grids = [None] * 3\n"
+        "def run(k):\n"
+        "    grids[k] = sweep(TABLE1, 40, axis, axis).max_real_grid.tolist()\n"
+        "threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=120)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "print(json.dumps({'grids': grids, 'before': before,\n"
+        "                  'after': lib.scipy_openblas_get_num_threads()}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    grids = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        run = json.loads(out.stdout)
+        assert run["before"] == run["after"] == int(threads)
+        grids += run["grids"]
+    assert all(grid == grids[0] for grid in grids)
 
 
 def test_sweep_isolates_failing_cells(toy):

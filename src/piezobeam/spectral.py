@@ -5,9 +5,10 @@ semi-discrete system actually delivers; sweeping it over the amplifier plane
 maps where the certified design intervals sit relative to the truly optimal
 gains.  Every eigensolve runs on A_E, the generator in energy coordinates
 (see `piezobeam.orfd`), with dense LAPACK routines (the generator is small;
-sparse iteration buys nothing here).  At the reference pairs the abscissa
+sparse iteration buys nothing here): one Hessenberg reduction (dgehrd) and
+the double-shift QR iteration (dlahqr).  At the reference pairs the abscissa
 agrees with 40-digit oracles (tests/oracle_frozen_abscissa.py and
-bench/oracle.py) to between 8.5e-10 and 4.2e-7 relative.  The dense
+bench/oracle.py) to between 9.1e-12 and 4.2e-7 relative.  The dense
 eigenvalues carry an absolute error ~eps ||A_E||_2, and at stiff gains,
 where the tip rates make ||A_E||_2 ~1e22, that error swamps the slow modes:
 there the abscissa can come out positive and depends on the BLAS thread
@@ -22,7 +23,7 @@ the error above, which is of the same relative size.
 
 LAPACK is called through the C-API capsules that scipy.linalg.cython_lapack
 exports (`_lapack`).  A ctypes call releases the GIL for the whole routine,
-which numpy's and scipy's own wrappers hold, so the dgeev calls of a sweep
+which numpy's and scipy's own wrappers hold, so the eigensolves of a sweep
 run in parallel on its thread pool.
 """
 
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import cython_lapack
 
 from .errors import DomainError
 from .materials import MaterialParams
@@ -78,7 +79,8 @@ def _lapack(name: str):
     return call
 
 
-_dgeev = _lapack("dgeev")
+_dgehrd = _lapack("dgehrd")
+_dlahqr = _lapack("dlahqr")
 _dhsein = _lapack("dhsein")
 _dormhr = _lapack("dormhr")
 
@@ -138,7 +140,7 @@ class SpectrumResult:
     """Full spectrum at one amplifier pair with a residual certificate.
 
     eigenvalues are sorted by decreasing real part and max_real is the
-    first one's, both exactly as dgeev returns them.  residual_max is the
+    first one's, both exactly as `_eigvals` returns them.  residual_max is the
     largest |A_E x - mu x| / (|x| ||A_E||_2) over the N_CERTIFY dominant
     eigenvalues mu (conjugates once), each x found by inverse iteration on
     the Hessenberg form of A_E.  certified is False when that exceeds
@@ -165,54 +167,82 @@ class SpectrumGrid:
     failures: list = field(default_factory=list)
 
 
-def _eigvals(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues wr + i*wi of the real square matrix A, in LAPACK order.
+def _hessenberg(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = Q H Q^T by dgehrd over the whole matrix (ilo = 1, ihi = n).
 
-    dgeev without eigenvectors and with the optimal workspace, as numpy's
-    `eigvals` calls it, but with the GIL released.  Non-finite input and a
-    failed QR iteration raise np.linalg.LinAlgError.
+    Returns hq, in Fortran order with H on and above the subdiagonal and the
+    reflectors of Q below it, and the reflectors' scalars tau.  Non-finite
+    input raises np.linalg.LinAlgError.
     """
-    a = np.array(A, dtype=float, order="F")  # dgeev overwrites its input
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise np.linalg.LinAlgError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    hq = np.array(A, dtype=float, order="F")  # dgehrd overwrites its input
+    if hq.ndim != 2 or hq.shape[0] != hq.shape[1]:
+        raise np.linalg.LinAlgError(f"expected a square matrix, got shape {hq.shape}")
+    if not np.isfinite(hq).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    n = a.shape[0]
-    wr, wi = np.empty(n), np.empty(n)
-    unused = np.empty(1)  # vl and vr: not referenced without eigenvectors
+    n = hq.shape[0]
+    tau = np.empty(max(n - 1, 1))
     info = ctypes.c_int(0)
 
     def call(work: np.ndarray, lwork: int) -> None:
-        _dgeev(b"N", b"N", n, a, n, wr, wi, unused, 1, unused, 1, work, lwork, info)
-        if info.value > 0:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        if info.value < 0:
-            raise np.linalg.LinAlgError(f"dgeev rejected argument {-info.value}")
+        _dgehrd(n, 1, n, hq, n, tau, work, lwork, info)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dgehrd rejected argument {-info.value}")
 
     _with_workspace(call)
+    return hq, tau
+
+
+def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues wr + i*wi of the upper Hessenberg matrix h (Fortran
+    order), in LAPACK order: conjugate pairs adjacent, Im > 0 first.
+
+    dlahqr, the double-shift QR iteration, without the Schur form and
+    without Schur vectors.  It overwrites h, entries below the subdiagonal
+    included.  A failed iteration raises np.linalg.LinAlgError.
+    """
+    n = h.shape[0]
+    wr, wi = np.empty(n), np.empty(n)
+    info = ctypes.c_int(0)
+    # WANTT = WANTZ = false: Z, ILOZ and IHIZ are not referenced
+    _dlahqr(0, 0, n, 1, n, h, n, wr, wi, 1, n, np.empty(1), 1, info)
+    if info.value > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if info.value < 0:
+        raise np.linalg.LinAlgError(f"dlahqr rejected argument {-info.value}")
     lam = np.empty(n, dtype=complex)
     lam.real, lam.imag = wr, wi
     return lam
 
 
-def _right_eigenvectors(A: np.ndarray, lam: np.ndarray,
+def _eigvals(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the real square matrix A, in LAPACK order.
+
+    `_hessenberg`, then `_hessenberg_eigvals`: dgeev's path without its
+    balancing, and with dlahqr in place of the multishift QR (dlaqr0) that
+    dhseqr picks for n > 75, which is slower below n ~900.  Balancing
+    (dgebal) would leave A_E unchanged: A_E^T = J A_E J with J = diag(I, -I)
+    gives every row the norm of its column, and no row is zero off the
+    diagonal (tests/test_orfd.py).  Non-finite input and a failed QR
+    iteration raise np.linalg.LinAlgError.
+    """
+    h, _ = _hessenberg(A)
+    return _hessenberg_eigvals(h)
+
+
+def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
                         select: np.ndarray) -> tuple[np.ndarray, bool]:
     """Right eigenvectors of A at the eigenvalues lam[select], by inverse
-    iteration on the Hessenberg form of A.
+    iteration on the Hessenberg form A = Q H Q^T.
 
-    lam holds all eigenvalues in LAPACK order (conjugate pairs adjacent,
-    Im > 0 first), and select marks one member of each wanted pair.
-    dgehrd reduces A = Q H Q^T once.  dhsein runs inverse iteration on H,
-    O(n^2) per eigenvalue, from seeded random start vectors, so the vectors
-    owe nothing to the eigensolver that produced lam.  dormhr applies Q to
-    the computed columns only.  Returns the vectors as complex columns in
-    the order of lam[select], and whether dhsein reports all converged.
+    hq and tau are `_hessenberg(A)`.  lam holds all eigenvalues in LAPACK
+    order (conjugate pairs adjacent, Im > 0 first), and select marks one
+    member of each wanted pair.  dhsein runs inverse iteration on H, O(n^2)
+    per eigenvalue, from seeded random start vectors, so the vectors owe
+    nothing to the eigensolver that produced lam.  dormhr applies Q to the
+    computed columns only.  Returns the vectors as complex columns in the
+    order of lam[select], and whether dhsein reports all converged.
     """
     n = lam.size
-    hq, tau, info = lapack.dgehrd(A, lwork=int(lapack.dgehrd_lwork(n)[0]))
-    if info:
-        raise np.linalg.LinAlgError(f"dgehrd rejected argument {-info}")
-    hq = np.asfortranarray(hq)  # H on and above the subdiagonal, the reflectors below
     # dhsein's columns: one per real eigenvalue, Re and Im for each pair
     pair = lam.imag[select] != 0.0
     start = np.concatenate([[0], np.cumsum(1 + pair)[:-1]])
@@ -263,12 +293,13 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
     unconverged leaves the result uncertified rather than raising.
     """
     A = sys.A_E
-    lam = _eigvals(A)
+    hq, tau = _hessenberg(A)
+    lam = _hessenberg_eigvals(hq.copy(order="F"))  # dlahqr overwrites its input
     order = np.argsort(-lam.real, kind="stable")
     # the Im > 0 member of a pair comes first in LAPACK order
     select = np.zeros(lam.size, dtype=bool)
     select[order[lam.imag[order] >= 0.0][:N_CERTIFY]] = True
-    X, converged = _right_eigenvectors(A, lam, select)
+    X, converged = _right_eigenvectors(hq, tau, lam, select)
     AX = A @ X.real + 1j * (A @ X.imag)  # A @ X would make a complex copy of A
     residuals = (np.linalg.norm(AX - X * lam[select], axis=0)
                  / (np.linalg.norm(X, axis=0) * _generator_norm(sys)))

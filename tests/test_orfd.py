@@ -103,6 +103,22 @@ def test_energy_generator_matches_definition(table1, toy):
         assert np.linalg.eigvalsh(sym).max() <= 1e-14 * np.abs(sym).max()
 
 
+@pytest.mark.parametrize("N", [8, 40])
+@pytest.mark.parametrize("gains", [(0.0, 0.0), (1e6, 1e9), (8.8e5, 6.8e11), (1e12, 1e12)])
+def test_energy_generator_is_j_symmetric(table1, N, gains):
+    # A_E^T = J A_E J with J = diag(I, -I), bit for bit: every row of A_E has
+    # the norm of its column, so balancing (dgebal) would not scale it, and
+    # no row is zero off the diagonal, so it would permute nothing out.
+    # The eigensolve skips dgebal on that ground, and _generator_norm reads
+    # ||A_E||_2 from the symmetric J A_E.
+    for sys in (build_system(table1, N, *gains),
+                build_system(table1, N, 0.0, 0.0).with_gains(*gains)):
+        A = sys.A_E
+        J = np.diag(np.repeat([1.0, -1.0], 2 * sys.n_nodes))
+        np.testing.assert_array_equal(A.T, J @ A @ J)
+        assert np.all((A - np.diag(np.diag(A)) != 0.0).any(axis=1))
+
+
 @pytest.mark.parametrize("bad", [
     dict(N=1), dict(N=0), dict(N=-3), dict(N=2.5),
     dict(xi1=-1.0), dict(xi2=-1e-9), dict(xi1=float("nan")), dict(xi2=float("inf")),

@@ -108,17 +108,17 @@ def test_certificate_rejects_an_eigenvalue_off_the_spectrum(table1, monkeypatch)
     # its conjugate) by 1e-6 ||A_E||_2 must fail the residual threshold
     sys = build_system(table1, 24, 1e6, 1e9)
     shift = 1e-6 * np.linalg.norm(sys.A_E, 2)
-    real_eigvals = spectral._eigvals
+    real_eigvals = spectral._hessenberg_eigvals
 
-    def moved(A):
-        lam = real_eigvals(A)
+    def moved(h):
+        lam = real_eigvals(h)
         k = int(np.argmax(lam.real))
         lam[k] += shift
-        if lam[k].imag != 0.0:  # keep the pair conjugate: dgeev stores it adjacent
+        if lam[k].imag != 0.0:  # keep the pair conjugate: LAPACK stores it adjacent
             lam[k + (1 if lam[k].imag > 0 else -1)] += shift
         return lam
 
-    monkeypatch.setattr(spectral, "_eigvals", moved)
+    monkeypatch.setattr(spectral, "_hessenberg_eigvals", moved)
     res = spectrum(sys)
     assert not res.certified
     assert res.residual_max > RESIDUAL_RTOL
@@ -139,6 +139,29 @@ def test_an_unconverged_eigenvector_is_reported_not_raised(table1, monkeypatch):
     res = spectrum(sys)
     assert not res.certified
     assert res.residual_max <= RESIDUAL_RTOL
+
+
+@pytest.mark.parametrize("info, message", [(3, "Eigenvalues did not converge"),
+                                           (-7, "dlahqr rejected argument 7")])
+def test_a_failed_qr_iteration_raises(table1, monkeypatch, info, message):
+    # dlahqr reports an eigenvalue it could not converge through INFO > 0,
+    # a bad argument through INFO < 0: spectral_abscissa and spectrum raise,
+    # and a sweep leaves the cell NaN and lists it
+    real_dlahqr = spectral._dlahqr
+
+    def failing(*args):
+        real_dlahqr(*args)
+        args[-1].value = info
+
+    monkeypatch.setattr(spectral, "_dlahqr", failing)
+    sys = build_system(table1, 8, 1e6, 1e9)
+    for solve in (spectral_abscissa, spectrum):
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            solve(sys)
+    with pytest.warns(RuntimeWarning, match="sweep cell"):
+        grid = sweep(table1, 8, [1e6], [1e9, 1e10])
+    assert np.all(np.isnan(grid.max_real_grid))
+    assert sorted(grid.failures) == [(0, 0, message), (0, 1, message)]
 
 
 @pytest.mark.parametrize("gains", [(0.0, 0.0), (0.5, 0.7), (1e6, 1e9), (1e12, 1e12)])
@@ -179,15 +202,15 @@ def test_eigvals_agrees_with_numpy(request, material, N, gains):
     A = build_system(request.getfixturevalue(material), N, *gains).A_E
     got, want = _eigvals(A), np.linalg.eigvals(A)
     assert got.shape == want.shape
-    # every eigenvalue of each set has its counterpart in the other; at
-    # these sizes the two LAPACK builds agree to the last bit
+    # every eigenvalue of each set has its counterpart in the other, to
+    # 1e-12 relative, although numpy balances and this path does not
     for a, b in ((got, want), (want, got)):
         nearest = np.abs(a[:, None] - b[None, :]).min(axis=1)
         assert np.all(nearest <= 1e-12 * np.abs(a))
 
 
 def test_eigensolves_leave_the_generator_untouched(toy, monkeypatch):
-    # dgeev overwrites its input: a view of A_E passed to it would corrupt
+    # dgehrd overwrites its input: a view of A_E passed to it would corrupt
     # the cached generator, and in a sweep every later cell with it
     sys = build_system(toy, 6, 0.5, 0.7)
     before = sys.A_E.copy()
@@ -273,10 +296,11 @@ def test_sweep_is_deterministic_across_runs_and_threads(toy):
 
 
 def test_sweep_pins_blas_to_one_thread_and_restores_it():
-    # a stiff N=40 grid whose dgeev results move with the OpenBLAS thread
-    # count.  Three sweeps run at once, in threads that share the
-    # process-wide count; each holds BLAS at one thread, so every grid of
-    # both runs agrees bit for bit, and the count is restored afterwards.
+    # a stiff N=40 grid whose eigenvalues move with the OpenBLAS thread
+    # count, through the blocked gemm updates of the Hessenberg reduction.
+    # Three sweeps run at once, in threads that share the process-wide
+    # count; each holds BLAS at one thread, so every grid of both runs
+    # agrees bit for bit, and the count is restored afterwards.
     code = (
         "import json, threading\n"
         "import numpy as np\n"

@@ -3,8 +3,8 @@
 Subcommands: design, simulate, spectrum, sweep, verify.  `run` loads the
 material parameters, answers --emit-config, and writes the manifest JSON
 (command, material parameters, options, emitted files, wall time) around
-each `cmd_*`, which returns its exit code and emitted files.  Domain errors
-exit 1 without a manifest, usage errors exit 2.
+each `cmd_*`, which returns its exit code and emitted files.  Domain, I/O
+and eigensolver errors exit 1 without a manifest, usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ def run(argv=None) -> int:
         else:
             code, outputs = args.func(args, params)
         _write_manifest(args.command, args, params, outputs, time.perf_counter() - t0)
-    except (DomainError, OSError) as exc:
+    except (DomainError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

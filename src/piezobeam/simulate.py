@@ -6,8 +6,7 @@ Two propagators:
   the node-interleaved ordering [v_0, p_0, v_1, p_1, ...], where the
   stiffness, mass and damping forms are kron(T, C) for the tridiagonal
   mesh blocks T and the 2x2 coefficients C, so the SPD step matrix has
-  half-bandwidth 3.  The state is carried Jacobi-scaled by the step
-  matrix's diagonal, whose scaled form is factored once by a banded
+  half-bandwidth 3.  The step matrix is factored once by a banded
   Cholesky with no fill-in.  A step is one banded matvec with the stiffness
   and mass bands stacked block-diagonally, which also gives the sample's
   energy, one banded solve and three in-place vector updates.  The scheme
@@ -104,8 +103,9 @@ def _band(A: np.ndarray) -> np.ndarray:
     return ab
 
 
-class _MidpointStepper:
-    """Midpoint steps in second-order form, node-interleaved, banded, scaled.
+def _midpoint_bands(sys: OrfdSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked [KA, KM] band and the Cholesky factor of S for midpoint
+    steps in second-order form, node-interleaved and banded.
 
     In the ordering [v_0, p_0, v_1, p_1, ...] the forms are KM = M (x) C1
     and KA = A_h (x) C2, each of half-bandwidth 3, and KB = B (x) diag(xi)
@@ -123,35 +123,26 @@ class _MidpointStepper:
     dominated by (dt^2/4) KA and lose KM to rounding, which puts ~1e-10
     of the energy norm into every step.
 
-    The state is carried Jacobi-scaled, s = [y/d; u/d] with d = diag(S)^-1/2,
-    so every form is used as D K D and the scaling costs nothing per step.
-    `band` stacks D KA D and D KM D as one block-diagonal band of order
-    4(N+1), so r = 2 [D KA D y/d; D KM D u/d] is one dsbmv; s.r = 4 E / h
+    The band stacks KA and KM block-diagonally, with order 4(N+1), so for
+    s = [y; u] the product r = 2 [KA y; KM u] is one dsbmv; s.r = 4 E / h
     and r's second half minus (dt/2) times its first half is the
-    right-hand side.  D S D is SPD for nonnegative amplifiers and is
-    factored once by a banded Cholesky (dpbtrf) with no fill-in, so a step
-    is one dsbmv, one dpbtrs and three in-place vector updates.  The bands
-    are read off the dense Kronecker assembly.
+    right-hand side.  S is SPD for nonnegative amplifiers and is factored
+    once by a banded Cholesky (dpbtrf) with no fill-in, so a step is one
+    dsbmv, one dpbtrs and three in-place vector updates.  The bands are
+    read off the dense Kronecker assembly.
     """
-
-    def __init__(self, sys: OrfdSystem, dt: float):
-        KM = np.kron(sys.M_mat, sys.C1)
-        KA = np.kron(sys.Ah_mat, sys.C2)
-        S = KM + 0.25 * dt * dt * KA
-        # (dt/2) KB: B's one entry 1/h times the gains, on the tip node's v and p
-        S[[-2, -1], [-2, -1]] += 0.5 * dt * (sys.B_mat[-1, -1] * np.array([sys.xi1, sys.xi2]))
-        d = 1.0 / np.sqrt(np.diag(S))
-        self.d = np.concatenate([d, d])
-
-        def scaled(K: np.ndarray) -> np.ndarray:
-            return _band((K * d).T * d)
-
-        # _band leaves the first k entries of the k-th superdiagonal zero,
-        # so side by side the two bands couple nothing across the blocks
-        self.band = np.hstack([scaled(KA), scaled(KM)])
-        self.cho, info = dpbtrf(scaled(S))
-        if info:
-            raise RuntimeError(f"midpoint step matrix is not SPD (dpbtrf info={info})")
+    KM = np.kron(sys.M_mat, sys.C1)
+    KA = np.kron(sys.Ah_mat, sys.C2)
+    S = KM + 0.25 * dt * dt * KA
+    # (dt/2) KB: B's one entry 1/h times the gains, on the tip node's v and p
+    S[[-2, -1], [-2, -1]] += 0.5 * dt * (sys.B_mat[-1, -1] * np.array([sys.xi1, sys.xi2]))
+    # _band leaves the first k entries of the k-th superdiagonal zero,
+    # so side by side the two bands couple nothing across the blocks
+    band = np.hstack([_band(KA), _band(KM)])
+    cho, info = dpbtrf(_band(S))
+    if info:
+        raise RuntimeError(f"midpoint step matrix is not SPD (dpbtrf info={info})")
+    return band, cho
 
 
 def generator_radius_estimate(sys: OrfdSystem) -> float:
@@ -189,7 +180,7 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     if steps < 1:
         raise DomainError(f"T={T!r} is shorter than one step dt={dt!r}")
     n = sys.N + 1
-    # the stepper's ~6 dense 2n x 2n blocks, then times, energies and the two
+    # the step setup's ~6 dense 2n x 2n blocks, then times, energies and the two
     # tip rates per sample, and 4n more doubles per sample with keep_states
     _check_memory(8 * (6 * (2 * n) ** 2 + (4 + 4 * n * bool(keep_states)) * (steps + 1)),
                   f"midpoint run at N={sys.N} with {steps:.0f} steps", "steps")
@@ -202,10 +193,9 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
             "damping of unresolved branches is understated",
             RuntimeWarning, stacklevel=2)
 
-    stepper = _MidpointStepper(sys, dt)
-    d = stepper.d
-    # s = [y; u] node-interleaved ([v_0, p_0, v_1, ...]) and scaled by 1/d
-    s = check_state(sys, state0).reshape(2, 2, n).transpose(0, 2, 1).ravel() / d
+    band, cho = _midpoint_bands(sys, dt)
+    # s = [y; u] node-interleaved ([v_0, p_0, v_1, ...]), a copy updated in place
+    s = check_state(sys, state0).reshape(2, 2, n).transpose(0, 2, 1).flatten()
     sy, su = s[: 2 * n], s[2 * n:]
     r = np.empty(4 * n)
     rA, rM = r[: 2 * n], r[2 * n:]
@@ -216,16 +206,16 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     states = np.empty((n_steps + 1, 4 * n)) if keep_states else None
     # states[k] viewed as [y or u][node][v or p], the interleaved layout
     nodal = states.reshape(-1, 2, 2, n).transpose(0, 1, 3, 2) if keep_states else None
-    s_nodal, d_nodal = s.reshape(2, n, 2), d.reshape(2, n, 2)
+    s_nodal = s.reshape(2, n, 2)
 
-    band, cho, quarter_h, half_dt = stepper.band, stepper.cho, 0.25 * sys.h, 0.5 * dt
+    quarter_h, half_dt = 0.25 * sys.h, 0.5 * dt
     for k in range(n_steps + 1):
-        # r = 2 [KA y; KM u] in the scaled variables, so s.r = 4 E / h
+        # r = 2 [KA y; KM u], so s.r = 4 E / h
         dsbmv(_KD, 2.0, band, s, y=r, overwrite_y=1)
         energies[k] = e = quarter_h * ddot(s, r)
         bv[k], bp[k] = s[-2], s[-1]
         if nodal is not None:
-            np.multiply(s_nodal, d_nodal, out=nodal[k])
+            nodal[k] = s_nodal
         if not math.isfinite(e):
             raise RuntimeError(f"non-finite state at step {k} (t={times[k]:g}); aborting")
         if k < n_steps:
@@ -236,12 +226,10 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
                 raise RuntimeError(f"midpoint step solve failed (dpbtrs info={info})")
             daxpy(rM, sy, a=half_dt)
             np.subtract(rM, su, out=su)
-    bv *= d[-2]
-    bp *= d[-1]
 
     trace = EnergyTrace(times=times, energies=energies,
                         boundary_v_dot=bv, boundary_p_dot=bp)
-    final = (s_nodal * d_nodal).transpose(0, 2, 1).ravel()
+    final = s_nodal.transpose(0, 2, 1).ravel()
     return IntegrationResult(trace=trace, final_state=final, states=states)
 
 

@@ -16,10 +16,13 @@ count (ROADMAP item 1).
 
 `spectrum` certifies its dominant eigenvalues: each gets an eigenvector by
 inverse iteration on the Hessenberg form of A_E (LAPACK dhsein, from seeded
-random start vectors), and the residual |A_E x - mu x| / (|x| ||A_E||_2) is
-checked against RESIDUAL_RTOL.  The certificate shows that each mu is an
-eigenvalue of a matrix within that relative distance of A_E; it cannot show
-the error above, which is of the same relative size.
+random start vectors), and the residual |A_E x - mu x| / (|x| r) is checked
+against RESIDUAL_RTOL.  r = max(||G||_2, ||D||_2) is read in closed form by
+`simulate.generator_radius_estimate`; G and D are blocks of
+A_E = [[0, G^T], [-G, -D]], so r <= ||A_E||_2 <= 2r, and the residual is at
+least the one relative to ||A_E||_2.  The certificate shows that each mu is
+an eigenvalue of a matrix within that relative distance of A_E; it cannot
+show the error above, which is of the same relative size.
 
 LAPACK is called through the C-API capsules that scipy.linalg.cython_lapack
 exports (`_lapack`).  A ctypes call releases the GIL for the whole routine,
@@ -46,8 +49,9 @@ from scipy.linalg import cython_lapack
 from .errors import DomainError
 from .materials import MaterialParams
 from .orfd import OrfdSystem, build_system
+from .simulate import generator_radius_estimate
 
-RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to ||A||_2
+RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to max(||G||_2, ||D||_2)
 N_CERTIFY = 10  # dominant eigenvalues certified per spectrum, conjugates once
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -141,10 +145,12 @@ class SpectrumResult:
 
     eigenvalues are sorted by decreasing real part and max_real is the
     first one's, both exactly as `_eigvals` returns them.  residual_max is the
-    largest |A_E x - mu x| / (|x| ||A_E||_2) over the N_CERTIFY dominant
+    largest |A_E x - mu x| / (|x| r) over the N_CERTIFY dominant
     eigenvalues mu (conjugates once), each x found by inverse iteration on
-    the Hessenberg form of A_E.  certified is False when that exceeds
-    RESIDUAL_RTOL or an inverse iteration did not converge.
+    the Hessenberg form of A_E, with r = `generator_radius_estimate`, the
+    closed-form lower bound max(||G||_2, ||D||_2) on ||A_E||_2.  certified
+    is False when that exceeds RESIDUAL_RTOL or an inverse iteration did
+    not converge.
     """
 
     eigenvalues: np.ndarray
@@ -271,26 +277,15 @@ def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
     return X, converged
 
 
-def _generator_norm(sys: OrfdSystem) -> float:
-    """||A_E||_2 from one symmetric eigensolve.
-
-    J A_E = [[0, G^T], [G, D]] with J = diag(I, -I) is symmetric and J is
-    orthogonal, so ||A_E||_2 is the largest |eigenvalue| of J A_E.
-    """
-    JA = sys.A_E.copy()
-    JA[2 * sys.n_nodes:] *= -1.0
-    w = np.linalg.eigvalsh(JA)
-    return float(max(-w[0], w[-1]))
-
-
 def spectrum(sys: OrfdSystem) -> SpectrumResult:
     """All generator eigenvalues, with the dominant pairs certified.
 
     The N_CERTIFY eigenvalues mu of largest real part (conjugates counted
     once) each get a vector x by inverse iteration on the Hessenberg form
     (`_right_eigenvectors`), and residual_max is the largest
-    |A_E x - mu x| / (|x| ||A_E||_2).  A vector that dhsein reports
-    unconverged leaves the result uncertified rather than raising.
+    |A_E x - mu x| / (|x| r), where r = `generator_radius_estimate`
+    <= ||A_E||_2.  A vector that dhsein reports unconverged leaves the
+    result uncertified rather than raising.
     """
     A = sys.A_E
     hq, tau = _hessenberg(A)
@@ -302,7 +297,7 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
     X, converged = _right_eigenvectors(hq, tau, lam, select)
     AX = A @ X.real + 1j * (A @ X.imag)  # A @ X would make a complex copy of A
     residuals = (np.linalg.norm(AX - X * lam[select], axis=0)
-                 / (np.linalg.norm(X, axis=0) * _generator_norm(sys)))
+                 / (np.linalg.norm(X, axis=0) * generator_radius_estimate(sys)))
     residual_max = float(residuals.max())
     lam = lam[order]
     return SpectrumResult(eigenvalues=lam, max_real=float(lam.real.max()),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam import cli, orfd
+from piezobeam import cli, orfd, spectral
 from piezobeam.cli import CSV_BLOCK_ROWS, TABLE3_XI1, TABLE3_XI2, _write_csv, run
 from piezobeam.design import amplifier_intervals, epsilon_bounds
 from piezobeam.materials import (
@@ -344,6 +344,22 @@ def test_generator_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatc
     code, out, err = _run(capsys, command, "--N", "40", "--outdir", str(tmp_path))
     assert code == 1 and out == ""
     assert "generator at N=40 needs about" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # no manifest, no output
+
+
+def test_failed_eigensolve_exits_one(tmp_path, capsys, monkeypatch):
+    # dlahqr reporting INFO > 0 (an eigenvalue that did not converge) is one
+    # error line and exit 1, not a traceback
+    real_dlahqr = spectral._dlahqr
+
+    def failing(*args):
+        real_dlahqr(*args)
+        args[-1].value = 3
+
+    monkeypatch.setattr(spectral, "_dlahqr", failing)
+    code, out, err = _run(capsys, "spectrum", "--N", "8", "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: Eigenvalues did not converge\n"
     assert not list(tmp_path.iterdir())  # no manifest, no output
 
 

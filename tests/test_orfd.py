@@ -109,8 +109,9 @@ def test_energy_generator_is_j_symmetric(table1, N, gains):
     # A_E^T = J A_E J with J = diag(I, -I), bit for bit: every row of A_E has
     # the norm of its column, so balancing (dgebal) would not scale it, and
     # no row is zero off the diagonal, so it would permute nothing out.
-    # The eigensolve skips dgebal on that ground, and _generator_norm reads
-    # ||A_E||_2 from the symmetric J A_E.
+    # The eigensolve skips dgebal on that ground.  The spectrum certificate
+    # needs no norm from J A_E: it divides by generator_radius_estimate, the
+    # closed-form max(||G||_2, ||D||_2) <= ||A_E||_2.
     for sys in (build_system(table1, N, *gains),
                 build_system(table1, N, 0.0, 0.0).with_gains(*gains)):
         A = sys.A_E

@@ -50,6 +50,20 @@ def test_undamped_midpoint_drift_at_reference_size(table1):
 
 
 @quiet_dt
+def test_undamped_midpoint_conserves_energy_over_random_materials():
+    # the draws span wide gaps between the v and p scales of the step
+    # matrix, which its banded Cholesky factors with no diagonal scaling
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        params = random_material(rng)
+        sys = build_system(params, 16, 0.0, 0.0)
+        dt = 0.02 / derive_constants(params).sigma_max
+        E = integrate(sys, hat_initial_condition(params, 16, 0.5), 500 * dt, dt).trace.energies
+        assert E.shape == (501,)
+        assert np.max(np.abs(E - E[0])) <= 1e-10 * E[0]
+
+
+@quiet_dt
 def test_damped_midpoint_is_monotone(table1):
     sys = build_system(table1, 12, 1e6, 1e9)
     sv = hat_initial_condition(table1, 12, 0.5)

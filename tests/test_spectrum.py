@@ -13,10 +13,10 @@ import pytest
 from piezobeam import orfd, spectral
 from piezobeam.errors import DomainError
 from piezobeam.orfd import build_system
+from piezobeam.simulate import generator_radius_estimate
 from piezobeam.spectral import (
     RESIDUAL_RTOL,
     _eigvals,
-    _generator_norm,
     spectral_abscissa,
     spectrum,
     sweep,
@@ -164,10 +164,16 @@ def test_a_failed_qr_iteration_raises(table1, monkeypatch, info, message):
     assert sorted(grid.failures) == [(0, 0, message), (0, 1, message)]
 
 
-@pytest.mark.parametrize("gains", [(0.0, 0.0), (0.5, 0.7), (1e6, 1e9), (1e12, 1e12)])
-def test_generator_norm_matches_the_svd(table1, gains):
-    sys = build_system(table1, 16, *gains)
-    np.testing.assert_allclose(_generator_norm(sys), np.linalg.norm(sys.A_E, 2), rtol=1e-13)
+@pytest.mark.parametrize("N, gains", [(16, (0.0, 0.0)), (16, (0.5, 0.7)), (16, (1e6, 1e9)),
+                                      (16, (1e12, 1e12)), (80, (8.8e5, 6.8e11))])
+def test_radius_estimate_brackets_the_generator_norm(table1, N, gains):
+    # the certificate's denominator max(||G||_2, ||D||_2): G and D are blocks
+    # of A_E = [[0, G^T], [-G, -D]], so it is at most ||A_E||_2, and
+    # ||A_E||_2 <= ||G||_2 + ||D||_2 is at most twice it
+    sys = build_system(table1, N, *gains)
+    r, norm = generator_radius_estimate(sys), np.linalg.norm(sys.A_E, 2)
+    assert r <= norm * (1.0 + 1e-13)
+    assert norm <= 2.0 * r
 
 
 @pytest.mark.parametrize("N", [16, 80])

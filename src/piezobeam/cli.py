@@ -104,16 +104,16 @@ def _write_csv(path: Path, header: str, rows: np.ndarray, sep: str = ",") -> Non
 
 
 def _dump_matrices(sys_obj, outdir: Path) -> list[Path]:
+    generator = sys_obj.A_E  # checks the memory budget, which covers the mesh blocks
+    tridiag = lambda d, e: np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    mats = {"mass_matrix": tridiag(*sys_obj.M_stencil),
+            "stiffness_matrix": tridiag(*sys_obj.Ah_stencil),
+            "boundary_matrix": np.diag(np.r_[np.zeros(sys_obj.N), 1.0 / sys_obj.h]),
+            "generator_matrix": generator}
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, mat in (("mass_matrix", sys_obj.M_mat),
-                      ("stiffness_matrix", sys_obj.Ah_mat),
-                      ("boundary_matrix", sys_obj.B_mat),
-                      ("generator_matrix", sys_obj.A_E)):
-        path = outdir / f"{name}.txt"
-        _write_csv(path, f"{mat.shape[0]} {mat.shape[1]}", mat, sep=" ")
-        written.append(path)
-    return written
+    for name, mat in mats.items():
+        _write_csv(outdir / f"{name}.txt", f"{mat.shape[0]} {mat.shape[1]}", mat, sep=" ")
+    return [outdir / f"{name}.txt" for name in mats]
 
 
 def cmd_design(args: argparse.Namespace,

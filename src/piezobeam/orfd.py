@@ -26,13 +26,12 @@ Its one first-order generator acts on the energy coordinates
 
     z = [L_A^T y; L_M^T u],   C1 (x) M = L_M L_M^T,   C2 (x) A_h = L_A L_A^T,
 
-(Cholesky factors; both forms are SPD because
-alpha1 > 0), in which the discrete energy is (h/2) |z|^2 and
+(Cholesky factors, SPD as alpha1 > 0), in which the energy is (h/2) |z|^2 and
 
     A_E = [[0, G^T], [-G, -D]],   G = L_M^-1 L_A,
     D = L_M^-1 (diag(xi1, xi2) (x) B) L_M^-T.
 
-G is the Kronecker product of two small factors (`G_factors`).  The damping
+G is a Kronecker product of two factors (`G_factors`).  The damping
 is two tip rates: B = b b^T with b = e_{N+1}/sqrt(h), and L_m^-1 b is
 nonzero only in its tip entry, so D is diagonal with the two nonzeros
 
@@ -44,11 +43,10 @@ bidiagonal stencil E is lower triangular with entries +-1.  D >= 0, so
 A_E + A_E^T <= 0 holds by construction and the eigenvectors are well
 conditioned (condition ~2).  Every eigenvalue analysis and the modal
 propagation run on A_E; the midpoint stepper works on the second-order form
-above.  to_energy_coords and from_energy_coords map nodal states [y; u] to z
-and back with the small Cholesky factors L_m, L_Ah and L_C2.
-
-The dense blocks are checked against MEMORY_BYTES where they are allocated:
-the mesh blocks in build_system and the generator in A_E.
+above.  M and A_h are held as stencils and B as its entry 1/h; their
+Cholesky factors L_m and L_Ah are bidiagonal, in closed form, and map nodal
+states [y; u] to z and back with L_C2 (to_energy_coords, from_energy_coords).
+Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import DomainError
 from .materials import MaterialParams
@@ -75,19 +73,13 @@ def _check_memory(need: float, what: str, fewer: str) -> None:
 
 @dataclass(eq=False)
 class OrfdSystem:
-    """Assembled semi-discretization at one amplifier pair.
-
-    Holds the second-order blocks; the factors and the generator A_E in
-    energy coordinates are built on first use.
-    """
+    """Semi-discretization at one amplifier pair; the factors and the
+    generator A_E in energy coordinates are built on first use."""
 
     N: int
     h: float
     xi1: float
     xi2: float
-    M_mat: np.ndarray
-    Ah_mat: np.ndarray
-    B_mat: np.ndarray
     C1: np.ndarray
     C2: np.ndarray
 
@@ -95,28 +87,49 @@ class OrfdSystem:
     def n_nodes(self) -> int:
         return self.N + 1
 
+    @property
+    def M_stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """(diagonal, off-diagonal) of the tridiagonal M."""
+        return np.r_[np.full(self.N, 0.5), 0.25], np.full(self.N, 0.25)
+
+    @property
+    def Ah_stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """(diagonal, off-diagonal) of A_h: 4/h^2 times M's, off-diagonal negated."""
+        d, e = self.M_stencil
+        return 4.0 / self.h**2 * d, -4.0 / self.h**2 * e
+
     # The Cholesky factor of a Kronecker product is the product of the
     # factors: L_M = sqrt(C1) (x) L_m with C1 diagonal, L_A = L_C2 (x) L_Ah.
+    # M is tridiagonal, so L_m is bidiagonal, with diagonal (1/2) sqrt((j+2)/(j+1))
+    # for j < N, tip 1/(2 sqrt(N+1)), and subdiagonal (1/2) sqrt(j/(j+1)).
     @cached_property
-    def L_m(self) -> np.ndarray:
-        """Lower Cholesky factor of M."""
-        return np.linalg.cholesky(self.M_mat)
+    def L_m(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower bidiagonal Cholesky factor of M as (diagonal, subdiagonal)."""
+        j = np.arange(1.0, self.n_nodes)
+        return (np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(self.n_nodes)],
+                0.5 * np.sqrt(j / (j + 1.0)))
 
     @cached_property
-    def L_Ah(self) -> np.ndarray:
-        """Lower Cholesky factor of A_h."""
-        return np.linalg.cholesky(self.Ah_mat)
+    def L_Ah(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cholesky factor of A_h: (2/h) L_m with its subdiagonal negated."""
+        d, e = self.L_m
+        return 2.0 / self.h * d, -2.0 / self.h * e
 
     @cached_property
     def L_C2(self) -> np.ndarray:
         """Lower Cholesky factor of C2."""
         return np.linalg.cholesky(self.C2)
 
+    @property
+    def coupling(self) -> np.ndarray:
+        """C1^-1/2 L_C2, the 2x2 Kronecker factor of G."""
+        return self.L_C2 / np.sqrt(np.diag(self.C1))[:, None]
+
     @cached_property
     def G_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(C1^-1/2 L_C2, L_m^-1 L_Ah), whose Kronecker product is G."""
-        return (self.L_C2 / np.sqrt(np.diag(self.C1))[:, None],
-                sla.solve_triangular(self.L_m, self.L_Ah, lower=True))
+        """(coupling, L_m^-1 L_Ah), whose Kronecker product is G; the second is dense."""
+        d, e = self.L_Ah  # (L_m^-1 L_Ah)^T = L_Ah^T L_m^-T
+        return self.coupling, _solve_right(np.diag(d) + np.diag(e, 1), self.L_m, True).T
 
     @property
     def tip_rates(self) -> np.ndarray:
@@ -150,36 +163,46 @@ class OrfdSystem:
         """
         _check_gains(xi1, xi2)
         other = replace(self, xi1=float(xi1), xi2=float(xi2))
+        A_E = self.A_E.copy()  # checks the memory budget before G_factors
         for name in ("L_m", "L_Ah", "L_C2", "G_factors"):
             other.__dict__[name] = getattr(self, name)  # fills the cached_property
-        A_E = self.A_E.copy()
         A_E[other.tip_index, other.tip_index] = -other.tip_rates
         other.__dict__["A_E"] = A_E
         return other
 
     def to_energy_coords(self, states: np.ndarray) -> np.ndarray:
         """z = [L_A^T y; L_M^T u] of nodal states, shape (..., 4(N+1))."""
-        n = self.n_nodes
-        s = np.asarray(states, dtype=float).reshape(-1, 4, n)
-        zy = self.L_C2.T @ s[:, :2] @ self.L_Ah
-        zu = np.sqrt(np.diag(self.C1))[:, None] * (s[:, 2:] @ self.L_m)
+        s = np.asarray(states, dtype=float).reshape(-1, 4, self.n_nodes)
+        zy = self.L_C2.T @ _times_bidiag(s[:, :2], self.L_Ah)
+        zu = np.sqrt(np.diag(self.C1))[:, None] * _times_bidiag(s[:, 2:], self.L_m)
         return np.concatenate([zy, zu], axis=1).reshape(np.shape(states))
 
     def from_energy_coords(self, z: np.ndarray) -> np.ndarray:
         """Nodal states [y; u] of energy coordinates z, shape (..., 4(N+1))."""
-        n = self.n_nodes
-        z = np.asarray(z, dtype=float)
-        blocks = z.reshape(-1, 4, n)
+        blocks = np.asarray(z, dtype=float).reshape(-1, 4, self.n_nodes)
         # y = L_C2^-T Zy L_Ah^-1 and u = C1^-1/2 Zu L_m^-1
-        y = np.linalg.solve(self.L_C2.T, _solve_right(self.L_Ah, blocks[:, :2]))
-        u = _solve_right(self.L_m, blocks[:, 2:]) / np.sqrt(np.diag(self.C1))[:, None]
-        return np.concatenate([y, u], axis=1).reshape(z.shape)
+        y = np.linalg.solve(self.L_C2.T, _solve_right(blocks[:, :2], self.L_Ah))
+        u = _solve_right(blocks[:, 2:], self.L_m) / np.sqrt(np.diag(self.C1))[:, None]
+        return np.concatenate([y, u], axis=1).reshape(np.shape(z))
 
 
-def _solve_right(L: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X L^-1 for lower triangular L, applied to the last axis of X."""
+def _times_bidiag(X: np.ndarray, L: tuple) -> np.ndarray:
+    """X L for the lower bidiagonal L = (diagonal, subdiagonal), on the last axis of X."""
+    d, e = L
+    XL = X * d
+    XL[..., :-1] += X[..., 1:] * e
+    return XL
+
+
+def _solve_right(X: np.ndarray, L: tuple, transpose: bool = False) -> np.ndarray:
+    """X L^-1, or X L^-T with transpose, for the lower bidiagonal L = (d, e),
+    on the last axis of X: dtbtrs on (X L^-1)^T = L^-T X^T."""
     rows = X.reshape(-1, X.shape[-1])
-    return sla.solve_triangular(L, rows.T, lower=True, trans="T").T.reshape(X.shape)
+    sol, info = dtbtrs(np.vstack([L[0], np.append(L[1], 0.0)]), rows.T, uplo="L",
+                       trans="N" if transpose else "T")
+    if info:
+        raise np.linalg.LinAlgError(f"bidiagonal solve failed (dtbtrs info={info})")
+    return sol.T.reshape(X.shape)
 
 
 def _check_gains(xi1: float, xi2: float) -> None:
@@ -190,33 +213,15 @@ def _check_gains(xi1: float, xi2: float) -> None:
 
 
 def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> OrfdSystem:
-    """Assemble the matrices of the semi-discretization.
-
-    N >= 2 interior nodes; amplifiers must be finite and >= 0.
-    """
+    """The semi-discretization on N >= 2 interior nodes at gains finite and >= 0."""
     if not (isinstance(N, (int, np.integer)) and N >= 2):
         raise DomainError(f"N must be an integer >= 2, got {N!r}")
     _check_gains(xi1, xi2)
 
-    n = N + 1
-    h = params.L / n
-    _check_memory(8 * 3 * n**2, f"mesh blocks at N={N}", "nodes")
-
-    M = 0.25 * (np.diag(np.full(n, 2.0)) + np.diag(np.ones(n - 1), 1)
-                + np.diag(np.ones(n - 1), -1))
-    M[-1, -1] = 0.25
-    Ah = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
-          - np.diag(np.ones(n - 1), -1)) / h**2
-    Ah[-1, -1] = 1.0 / h**2
-    B = np.zeros((n, n))
-    B[-1, -1] = 1.0 / h
-
-    C1 = np.diag([params.rho, params.mu])
     C2 = np.array([[params.alpha, -params.gamma * params.beta],
                    [-params.gamma * params.beta, params.beta]])
-
-    return OrfdSystem(N=int(N), h=h, xi1=float(xi1), xi2=float(xi2),
-                      M_mat=M, Ah_mat=Ah, B_mat=B, C1=C1, C2=C2)
+    return OrfdSystem(N=int(N), h=params.L / (N + 1), xi1=float(xi1), xi2=float(xi2),
+                      C1=np.diag([params.rho, params.mu]), C2=C2)
 
 
 def hat_initial_condition(params: MaterialParams, N: int,
@@ -263,19 +268,14 @@ def check_state(sys: OrfdSystem, state: np.ndarray) -> np.ndarray:
 
 
 def discrete_energy(sys: OrfdSystem, state: np.ndarray) -> float:
-    """E_h = (h/2) <(C1 (x) M) u, u> + (h/2) <(C2 (x) A_h) y, y>,
-    y = [v; p], u = [v_dot; p_dot].
+    """E_h = (h/2) <(C1 (x) M) u, u> + (h/2) <(C2 (x) A_h) y, y> = (h/2) |z|^2,
+    y = [v; p], u = [v_dot; p_dot], z = sys.to_energy_coords(state).
 
     Midpoint quadrature of the continuous energy: kinetic/magnetic terms are
     sums of squared cell averages, potential terms squared cell differences.
     """
-    n = sys.N + 1
-    state = np.asarray(state, dtype=float)
-    y = state[: 2 * n].reshape(2, n)
-    u = state[2 * n:].reshape(2, n)
-    kin = np.einsum("ab,an,bn->", sys.C1, u, u @ sys.M_mat)
-    pot = np.einsum("ab,an,bn->", sys.C2, y, y @ sys.Ah_mat)
-    return 0.5 * sys.h * (kin + pot)
+    z = sys.to_energy_coords(state)
+    return 0.5 * sys.h * float(z @ z)
 
 
 def perturbation_functional(sys: OrfdSystem, state: np.ndarray,

@@ -16,8 +16,8 @@ Two propagators:
   cannot resolve: damping of a mode at frequency w is suppressed by
   ~4/(w*dt)^2 once w*dt >> 1.  A warning is emitted when dt leaves the
   fastest mode unresolved, judged by `generator_radius_estimate`, which
-  reads a bound on the spectral radius of A_E from the Kronecker factors of
-  G, the closed-form norm of the mesh factor and the two tip rates.
+  reads a bound on the spectral radius of A_E from the 2x2 Kronecker factor
+  of G, the closed-form norm of the mesh factor and the two tip rates.
 * `modal_trace` -- exact propagation of the semi-discrete flow through the
   eigendecomposition of the generator A_E in energy coordinates (see `orfd`).
   dt-free; the sample times only decide where the trace is evaluated.  This
@@ -95,11 +95,13 @@ class IntegrationResult:
 _KD = 3
 
 
-def _band(A: np.ndarray) -> np.ndarray:
-    """Upper LAPACK band storage of a symmetric matrix of half-bandwidth _KD."""
-    ab = np.zeros((_KD + 1, A.shape[0]))
-    for k in range(_KD + 1):
-        ab[_KD - k, k:] = np.diagonal(A, k)
+def _kron_band(d: np.ndarray, e: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Upper LAPACK band storage of kron(T, C), entry (2i+a, 2j+b) T_ij C_ab,
+    for T with diagonal d and off-diagonal e and a symmetric 2x2 C."""
+    ab = np.zeros((_KD + 1, 2 * d.size))
+    ab[3, 0::2], ab[3, 1::2], ab[2, 1::2] = d * C[0, 0], d * C[1, 1], d * C[0, 1]
+    ab[2, 2::2], ab[1, 2::2], ab[1, 3::2] = e * C[1, 0], e * C[0, 0], e * C[1, 1]
+    ab[0, 3::2] = e * C[0, 1]
     return ab
 
 
@@ -128,18 +130,17 @@ def _midpoint_bands(sys: OrfdSystem, dt: float) -> tuple[np.ndarray, np.ndarray]
     and r's second half minus (dt/2) times its first half is the
     right-hand side.  S is SPD for nonnegative amplifiers and is factored
     once by a banded Cholesky (dpbtrf) with no fill-in, so a step is one
-    dsbmv, one dpbtrs and three in-place vector updates.  The bands are
-    read off the dense Kronecker assembly.
+    dsbmv, one dpbtrs and three in-place vector updates.
     """
-    KM = np.kron(sys.M_mat, sys.C1)
-    KA = np.kron(sys.Ah_mat, sys.C2)
+    KM = _kron_band(*sys.M_stencil, sys.C1)
+    KA = _kron_band(*sys.Ah_stencil, sys.C2)
     S = KM + 0.25 * dt * dt * KA
     # (dt/2) KB: B's one entry 1/h times the gains, on the tip node's v and p
-    S[[-2, -1], [-2, -1]] += 0.5 * dt * (sys.B_mat[-1, -1] * np.array([sys.xi1, sys.xi2]))
-    # _band leaves the first k entries of the k-th superdiagonal zero,
+    S[_KD, -2:] += 0.5 * dt * (1.0 / sys.h * np.array([sys.xi1, sys.xi2]))
+    # the first k entries of the k-th superdiagonal are zero,
     # so side by side the two bands couple nothing across the blocks
-    band = np.hstack([_band(KA), _band(KM)])
-    cho, info = dpbtrf(_band(S))
+    band = np.hstack([KA, KM])
+    cho, info = dpbtrf(S)
     if info:
         raise RuntimeError(f"midpoint step matrix is not SPD (dpbtrf info={info})")
     return band, cho
@@ -156,9 +157,8 @@ def generator_radius_estimate(sys: OrfdSystem) -> float:
     ||G||_2 + ||D||_2, so this is at least half of it.
     """
     n = sys.n_nodes
-    coupling, _ = sys.G_factors
     mesh = 2.0 / sys.h * math.tan((2 * n - 1) * math.pi / (4 * n))
-    return float(max(np.linalg.norm(coupling, 2) * mesh, sys.tip_rates.max()))
+    return float(max(np.linalg.norm(sys.coupling, 2) * mesh, sys.tip_rates.max()))
 
 
 def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
@@ -180,9 +180,8 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     if steps < 1:
         raise DomainError(f"T={T!r} is shorter than one step dt={dt!r}")
     n = sys.N + 1
-    # the step setup's ~6 dense 2n x 2n blocks, then times, energies and the two
-    # tip rates per sample, and 4n more doubles per sample with keep_states
-    _check_memory(8 * (6 * (2 * n) ** 2 + (4 + 4 * n * bool(keep_states)) * (steps + 1)),
+    # ~48n doubles of bands, then 4 per sample and 4n more with keep_states
+    _check_memory(8 * (48 * n + (4 + 4 * n * bool(keep_states)) * (steps + 1)),
                   f"midpoint run at N={sys.N} with {steps:.0f} steps", "steps")
     n_steps = int(steps)
 
@@ -297,7 +296,7 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
             "at these gains (ROADMAP item 1)", RuntimeWarning, stacklevel=2)
     # u = C1^-1/2 Zu L_m^-1 and L_m is lower triangular, so the tip entry of
     # each rate block is its z entry over sqrt(c_a) L_m[N, N]
-    tip = z[:, sys.tip_index] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[-1, -1])
+    tip = z[:, sys.tip_index] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[0][-1])
     trace = EnergyTrace(times=times, energies=energies,
                         boundary_v_dot=tip[:, 0], boundary_p_dot=tip[:, 1])
     return IntegrationResult(trace=trace,

@@ -41,3 +41,23 @@ def random_material(rng: np.random.Generator) -> MaterialParams:
         gamma=float(gamma),
         beta=beta,
     )
+
+
+def dense_blocks(sys):
+    """M, A_h and B of `sys` as dense (N+1)x(N+1) arrays.
+
+    Assembled from the literal formulas of the `orfd` docstring,
+    M = (1/4) tridiag(1, 2, 1) and A_h = (1/h^2) tridiag(-1, 2, -1) with
+    last diagonal entries 1/4 and 1/h^2, and B = e_{N+1} e_{N+1}^T / h, not
+    from the system's stencils, so dense reference checks stay independent
+    of them.
+    """
+    n = sys.N + 1
+    ones = np.ones(n - 1)
+    M = 0.25 * (np.diag(np.full(n, 2.0)) + np.diag(ones, 1) + np.diag(ones, -1))
+    M[-1, -1] = 0.25
+    Ah = (np.diag(np.full(n, 2.0)) - np.diag(ones, 1) - np.diag(ones, -1)) / sys.h**2
+    Ah[-1, -1] = 1.0 / sys.h**2
+    B = np.zeros((n, n))
+    B[-1, -1] = 1.0 / sys.h
+    return M, Ah, B

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -5,15 +6,16 @@ from scipy.linalg import block_diag
 from piezobeam import (DomainError, build_system, discrete_energy, hat_initial_condition,
                       integrate, modal_trace, orfd, perturbation_functional)
 
-from conftest import TOY, random_material
+from conftest import TOY, dense_blocks, random_material
 
 
 def dense_energy_reference(sys, state):
     """Energy via the explicit Kronecker quadratic forms."""
     n = sys.N + 1
     y, u = state[:2 * n], state[2 * n:]
-    KM = np.kron(sys.C1, sys.M_mat)
-    KA = np.kron(sys.C2, sys.Ah_mat)
+    M, Ah, _ = dense_blocks(sys)
+    KM = np.kron(sys.C1, M)
+    KA = np.kron(sys.C2, Ah)
     return 0.5 * sys.h * (u @ KM @ u + y @ KA @ y)
 
 
@@ -24,9 +26,12 @@ def test_matrices_literal_small(toy):
     A_want = 9.0 * np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     B_want = np.zeros((3, 3))
     B_want[2, 2] = 3.0
-    np.testing.assert_allclose(sys.M_mat, M_want, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(sys.Ah_mat, A_want, rtol=1e-14)
-    np.testing.assert_allclose(sys.B_mat, B_want, rtol=0, atol=0)
+    tridiag = lambda d, e: np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    np.testing.assert_allclose(tridiag(*sys.M_stencil), M_want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(tridiag(*sys.Ah_stencil), A_want, rtol=1e-14)
+    # the reference blocks of the other tests are the same matrices
+    for got, want in zip(dense_blocks(sys), (M_want, A_want, B_want)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
     assert sys.C1[0, 0] == toy.rho and sys.C1[1, 1] == toy.mu
     assert sys.C2[0, 1] == sys.C2[1, 0] == -toy.gamma * toy.beta
     assert sys.xi1 == 0.7 and sys.xi2 == 0.3
@@ -35,15 +40,41 @@ def test_matrices_literal_small(toy):
                                rtol=1e-15)
 
 
+@pytest.mark.parametrize("N", [2, 8, 80, 320])
+def test_mesh_factors_are_the_closed_form(table1, N):
+    # L_m is the bidiagonal Cholesky factor of M = (1/4) E^T E: diagonal
+    # (1/2) sqrt((j+2)/(j+1)) for j < N and 1/(2 sqrt(N+1)) at the tip,
+    # subdiagonal (1/2) sqrt(j/(j+1)) for j = 1..N, each entry within 2 ulp
+    # of its 40-digit value.  L_Ah is (2/h) L_m with its subdiagonal negated.
+    sys = build_system(table1, N, 1e6, 1e9)
+    d, e = sys.L_m
+    assert d.shape == (N + 1,) and e.shape == (N,)
+    with mpmath.workdps(40):
+        d_want = [mpmath.sqrt(mpmath.mpf(j + 2) / (j + 1)) / 2 for j in range(N)]
+        d_want.append(1 / (2 * mpmath.sqrt(N + 1)))
+        e_want = [mpmath.sqrt(mpmath.mpf(j) / (j + 1)) / 2 for j in range(1, N + 1)]
+        for got, want in zip(np.concatenate([d, e]), d_want + e_want):
+            assert abs(mpmath.mpf(float(got)) - want) <= 2 * np.spacing(float(want))
+    # L_m L_m^T and L_Ah L_Ah^T reproduce the stencils of M and A_h
+    eps = np.finfo(float).eps
+    dA, eA = sys.L_Ah
+    np.testing.assert_allclose(dA, 2.0 / sys.h * d, rtol=eps, atol=0)
+    np.testing.assert_allclose(eA, -2.0 / sys.h * e, rtol=eps, atol=0)
+    for (ld, le), (md, me) in (((d, e), sys.M_stencil), ((dA, eA), sys.Ah_stencil)):
+        np.testing.assert_allclose(ld**2 + np.r_[0.0, le**2], md, rtol=8 * eps, atol=0)
+        np.testing.assert_allclose(le * ld[:-1], me, rtol=8 * eps, atol=0)
+
+
 def nodal_generator_reference(sys):
     """First-order generator on [v, p, v_dot, p_dot] from explicit inverses."""
     n = sys.N + 1
-    Minv = np.linalg.inv(sys.M_mat)
+    M, Ah, B = dense_blocks(sys)
+    Minv = np.linalg.inv(M)
     ref = np.zeros((4 * n, 4 * n))
     ref[:2 * n, 2 * n:] = np.eye(2 * n)
-    ref[2 * n:, :2 * n] = -np.kron(np.linalg.inv(sys.C1) @ sys.C2, Minv @ sys.Ah_mat)
+    ref[2 * n:, :2 * n] = -np.kron(np.linalg.inv(sys.C1) @ sys.C2, Minv @ Ah)
     C3 = np.diag([sys.xi1, sys.xi2])
-    ref[2 * n:, 2 * n:] = -np.kron(np.linalg.inv(sys.C1) @ C3, Minv @ sys.B_mat)
+    ref[2 * n:, 2 * n:] = -np.kron(np.linalg.inv(sys.C1) @ C3, Minv @ B)
     return ref
 
 
@@ -55,11 +86,12 @@ def test_generator_blocks_match_reference(table1, toy):
                           (random_material(rng), 6, (2.0, 3.0))):
         sys = build_system(params, N, *xi)
         m = 2 * (N + 1)
-        L_M = np.linalg.cholesky(np.kron(sys.C1, sys.M_mat))
-        L_A = np.linalg.cholesky(np.kron(sys.C2, sys.Ah_mat))
+        M, Ah, B = dense_blocks(sys)
+        L_M = np.linalg.cholesky(np.kron(sys.C1, M))
+        L_A = np.linalg.cholesky(np.kron(sys.C2, Ah))
         L_M_inv = np.linalg.inv(L_M)
         G_ref = L_M_inv @ L_A
-        D_ref = L_M_inv @ np.kron(np.diag([sys.xi1, sys.xi2]), sys.B_mat) @ L_M_inv.T
+        D_ref = L_M_inv @ np.kron(np.diag([sys.xi1, sys.xi2]), B) @ L_M_inv.T
         A = sys.A_E
         assert not A[:m, :m].any()
         np.testing.assert_allclose(A[:m, m:], G_ref.T, rtol=0, atol=1e-12 * np.abs(G_ref).max())
@@ -70,7 +102,7 @@ def test_generator_blocks_match_reference(table1, toy):
         tips = [N, m - 1]
         off = np.delete(np.arange(m), tips)
         assert not A[m:, m:][off].any() and not A[m:, m:][:, off].any()
-        rates = np.array(xi) * np.linalg.inv(sys.M_mat)[N, N] / (np.diag(sys.C1) * sys.h)
+        rates = np.array(xi) * np.linalg.inv(M)[N, N] / (np.diag(sys.C1) * sys.h)
         np.testing.assert_allclose(-np.diag(A[m:, m:])[tips], rates, rtol=1e-12)
 
 
@@ -83,8 +115,9 @@ def test_energy_generator_matches_definition(table1, toy):
     for params, N, xi in ((toy, 5, (1.3, 0.2)), (table1, 7, (1e6, 1e9)),
                           (random_material(rng), 6, (2.0, 3.0))):
         sys = build_system(params, N, *xi)
-        L_M = np.linalg.cholesky(np.kron(sys.C1, sys.M_mat))
-        L_A = np.linalg.cholesky(np.kron(sys.C2, sys.Ah_mat))
+        M, Ah, _ = dense_blocks(sys)
+        L_M = np.linalg.cholesky(np.kron(sys.C1, M))
+        L_A = np.linalg.cholesky(np.kron(sys.C2, Ah))
         S = block_diag(L_A.T, L_M.T)
         A_ref = nodal_generator_reference(sys)
         lhs, rhs = sys.A_E @ S, S @ A_ref
@@ -161,16 +194,24 @@ def test_with_gains_rejects_like_build_system(toy, gains):
 
 
 def test_memory_budget_is_checked_where_blocks_are_allocated(toy, monkeypatch):
-    # 1 MiB: the three (N+1)^2 mesh blocks fit up to N=208, the generator's
-    # 6 (4(N+1))^2 doubles up to N=35
+    # 1 MiB: the generator's 6 (4(N+1))^2 doubles fit up to N=35, and its
+    # dense mesh factor is not formed before that check.  A midpoint run
+    # holds only bands, about 48 (N+1) doubles, and 4 doubles per step, so
+    # at N=2400 a few thousand steps fit
     monkeypatch.setattr(orfd, "MEMORY_BYTES", 2**20)
-    with pytest.raises(DomainError, match="mesh blocks at N=250 needs about 1 MiB.*fewer nodes"):
-        build_system(toy, 250, 1.0, 1.0)
     sys = build_system(toy, 40, 1.0, 1.0)
     with pytest.raises(DomainError, match="generator at N=40 needs about 1 MiB"):
         sys.A_E
-    assert "A_E" not in sys.__dict__
+    with pytest.raises(DomainError, match="generator at N=40"):
+        sys.with_gains(2.0, 3.0)
+    assert "A_E" not in sys.__dict__ and "G_factors" not in sys.__dict__
     build_system(toy, 35, 1.0, 1.0).A_E
+    big = build_system(toy, 2400, 1.0, 1.0)
+    state0 = hat_initial_condition(toy, 2400)
+    assert integrate(big, state0, 1e-8, 1e-9).trace.energies.size == 11
+    with pytest.raises(DomainError, match="midpoint run at N=2400 with 10000 steps "
+                                          "needs about 1 MiB.*fewer steps"):
+        integrate(big, state0, 1e-5, 1e-9)
 
 
 def test_energy_matches_dense_reference(table1, toy):

@@ -20,7 +20,7 @@ from piezobeam.simulate import (
     modal_trace,
 )
 
-from conftest import TOY, random_material
+from conftest import TOY, dense_blocks, random_material
 
 quiet_dt = pytest.mark.filterwarnings(
     "ignore:dt=.*does not resolve:RuntimeWarning")
@@ -157,9 +157,10 @@ def _dense_midpoint_step(sys, dt, state):
     """
     ld = np.longdouble
     n = sys.N + 1
-    KM = np.kron(sys.C1, sys.M_mat).astype(ld)
-    KA = np.kron(sys.C2, sys.Ah_mat).astype(ld)
-    KB = np.kron(np.diag([sys.xi1, sys.xi2]), sys.B_mat).astype(ld)
+    M, Ah, B = dense_blocks(sys)
+    KM = np.kron(sys.C1, M).astype(ld)
+    KA = np.kron(sys.C2, Ah).astype(ld)
+    KB = np.kron(np.diag([sys.xi1, sys.xi2]), B).astype(ld)
     dt = ld(dt)
     S = KM + dt * dt / 4 * KA + dt / 2 * KB
     R = KM - dt * dt / 4 * KA - dt / 2 * KB
@@ -250,7 +251,7 @@ def test_radius_estimate_mesh_norm_matches_svd():
             sys = build_system(params, N, *gains)
             coupling, mesh = sys.G_factors
             tip = (max(np.array(gains) / np.diag(sys.C1))
-                   * np.linalg.inv(sys.M_mat)[-1, -1] / sys.h)
+                   * np.linalg.inv(dense_blocks(sys)[0])[-1, -1] / sys.h)
             svd = max(np.linalg.norm(coupling, 2) * np.linalg.norm(mesh, 2), tip)
             np.testing.assert_allclose(generator_radius_estimate(sys), svd,
                                        rtol=1e-12, atol=0)

@@ -46,15 +46,23 @@ propagation run on A_E; the midpoint stepper works on the second-order form
 above.  M and A_h are held as stencils and B as its entry 1/h; their
 Cholesky factors L_m and L_Ah are bidiagonal, in closed form, and map nodal
 states [y; u] to z and back with L_C2 (to_energy_coords, from_energy_coords).
-Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check.
+Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check;
+systems on one mesh share the mesh factor, read-only.  Every eigensolve runs
+under `_one_blas_thread`, so no result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+import contextlib
+import ctypes
+import os
+import threading
+from dataclasses import dataclass
+from functools import cache, cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import DomainError
@@ -69,6 +77,48 @@ def _check_memory(need: float, what: str, fewer: str) -> None:
         raise DomainError(
             f"{what} needs about {need / 2**20:.0f} MiB, over the "
             f"{MEMORY_BYTES / 2**20:.0f} MiB budget; request fewer {fewer}")
+
+
+@cache
+def _scipy_openblas() -> ctypes.CDLL | None:
+    """scipy's bundled OpenBLAS, the library scipy's LAPACK runs on, if it is
+    loaded and exports its thread-count functions; otherwise None."""
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob(
+            "libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)  # only if already loaded
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+# The thread count is process-wide, so eigensolves in concurrent threads
+# take turns instead of restoring each other's count.  Not re-entrant.
+_BLAS_PIN = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body, or the decorated function, with scipy's OpenBLAS on one
+    thread, then restore its thread count.  Without the library (see
+    `_scipy_openblas`) nothing changes."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    with _BLAS_PIN:
+        old = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(1)
+        try:
+            yield
+        finally:
+            lib.scipy_openblas_set_num_threads(old)
 
 
 @dataclass(eq=False)
@@ -100,14 +150,11 @@ class OrfdSystem:
 
     # The Cholesky factor of a Kronecker product is the product of the
     # factors: L_M = sqrt(C1) (x) L_m with C1 diagonal, L_A = L_C2 (x) L_Ah.
-    # M is tridiagonal, so L_m is bidiagonal, with diagonal (1/2) sqrt((j+2)/(j+1))
-    # for j < N, tip 1/(2 sqrt(N+1)), and subdiagonal (1/2) sqrt(j/(j+1)).
+    # M is tridiagonal, so L_m is bidiagonal, in closed form (`_mass_factor`).
     @cached_property
     def L_m(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower bidiagonal Cholesky factor of M as (diagonal, subdiagonal)."""
-        j = np.arange(1.0, self.n_nodes)
-        return (np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(self.n_nodes)],
-                0.5 * np.sqrt(j / (j + 1.0)))
+        return _mass_factor(self.n_nodes)
 
     @cached_property
     def L_Ah(self) -> tuple[np.ndarray, np.ndarray]:
@@ -127,9 +174,9 @@ class OrfdSystem:
 
     @cached_property
     def G_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coupling, L_m^-1 L_Ah), whose Kronecker product is G; the second is dense."""
-        d, e = self.L_Ah  # (L_m^-1 L_Ah)^T = L_Ah^T L_m^-T
-        return self.coupling, _solve_right(np.diag(d) + np.diag(e, 1), self.L_m, True).T
+        """(coupling, L_m^-1 L_Ah), whose Kronecker product is G; the second
+        is dense, read-only and shared by every system on the mesh (N, h)."""
+        return self.coupling, _mesh_factor(self.n_nodes, self.h)
 
     @property
     def tip_rates(self) -> np.ndarray:
@@ -154,22 +201,6 @@ class OrfdSystem:
         A_E[self.tip_index, self.tip_index] = -self.tip_rates
         return A_E
 
-    def with_gains(self, xi1: float, xi2: float) -> OrfdSystem:
-        """The same beam at the amplifier pair (xi1, xi2).
-
-        Shares the gain-independent factors L_m, L_Ah, L_C2 and G_factors;
-        its A_E is a copy of this system's with the two tip entries
-        rewritten, bit for bit what build_system at (xi1, xi2) assembles.
-        """
-        _check_gains(xi1, xi2)
-        other = replace(self, xi1=float(xi1), xi2=float(xi2))
-        A_E = self.A_E.copy()  # checks the memory budget before G_factors
-        for name in ("L_m", "L_Ah", "L_C2", "G_factors"):
-            other.__dict__[name] = getattr(self, name)  # fills the cached_property
-        A_E[other.tip_index, other.tip_index] = -other.tip_rates
-        other.__dict__["A_E"] = A_E
-        return other
-
     def to_energy_coords(self, states: np.ndarray) -> np.ndarray:
         """z = [L_A^T y; L_M^T u] of nodal states, shape (..., 4(N+1))."""
         s = np.asarray(states, dtype=float).reshape(-1, 4, self.n_nodes)
@@ -184,6 +215,23 @@ class OrfdSystem:
         y = np.linalg.solve(self.L_C2.T, _solve_right(blocks[:, :2], self.L_Ah))
         u = _solve_right(blocks[:, 2:], self.L_m) / np.sqrt(np.diag(self.C1))[:, None]
         return np.concatenate([y, u], axis=1).reshape(np.shape(z))
+
+
+def _mass_factor(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """L_m on n nodes: diagonal (1/2) sqrt((j+2)/(j+1)) for j < n-1, tip
+    1/(2 sqrt(n)), subdiagonal (1/2) sqrt(j/(j+1))."""
+    j = np.arange(1.0, n)
+    return np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(n)], 0.5 * np.sqrt(j / (j + 1.0))
+
+
+@lru_cache(maxsize=8)
+def _mesh_factor(n: int, h: float) -> np.ndarray:
+    """L_m^-1 L_Ah on n nodes of spacing h, read-only: it depends on neither
+    the material nor the gains, so systems on one mesh share it."""
+    d, e = _mass_factor(n)  # (L_m^-1 L_Ah)^T = L_Ah^T L_m^-T, L_Ah as in OrfdSystem
+    mesh = _solve_right(np.diag(2.0 / h * d) + np.diag(-2.0 / h * e, 1), (d, e), True).T
+    mesh.flags.writeable = False
+    return mesh
 
 
 def _times_bidiag(X: np.ndarray, L: tuple) -> np.ndarray:
@@ -205,19 +253,13 @@ def _solve_right(X: np.ndarray, L: tuple, transpose: bool = False) -> np.ndarray
     return sol.T.reshape(X.shape)
 
 
-def _check_gains(xi1: float, xi2: float) -> None:
-    """Raise DomainError unless both amplifier gains are finite and >= 0."""
-    for name, xi in (("xi1", xi1), ("xi2", xi2)):
-        if not (np.isfinite(xi) and xi >= 0.0):
-            raise DomainError(f"{name} must be finite and >= 0, got {xi!r}")
-
-
 def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> OrfdSystem:
     """The semi-discretization on N >= 2 interior nodes at gains finite and >= 0."""
     if not (isinstance(N, (int, np.integer)) and N >= 2):
         raise DomainError(f"N must be an integer >= 2, got {N!r}")
-    _check_gains(xi1, xi2)
-
+    for name, xi in (("xi1", xi1), ("xi2", xi2)):
+        if not (np.isfinite(xi) and xi >= 0.0):
+            raise DomainError(f"{name} must be finite and >= 0, got {xi!r}")
     C2 = np.array([[params.alpha, -params.gamma * params.beta],
                    [-params.gamma * params.beta, params.beta]])
     return OrfdSystem(N=int(N), h=params.L / (N + 1), xi1=float(xi1), xi2=float(xi2),

@@ -25,8 +25,8 @@ Two propagators:
   fastest mode near 1e13 rad/s, far beyond any feasible midpoint step).
   A_E + A_E^T <= 0 and its eigenbasis is well conditioned, so the sampled
   energy (h/2)|z|^2 is monotone in time wherever the computed eigenvalues
-  are accurate.  At stiff gains they are not (ROADMAP item 1), the trace
-  can grow and depends on the BLAS thread count, and a warning says so.
+  are accurate.  At stiff gains they are not (ROADMAP item 2), the trace
+  can grow, and a warning says so.
 
 Both take and return states as flat arrays [v, p, v_dot, p_dot] of length
 4(N+1).
@@ -39,11 +39,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.blas import daxpy, ddot, dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DomainError
-from .orfd import OrfdSystem, _check_memory, check_state
+from .orfd import OrfdSystem, _check_memory, _one_blas_thread, check_state
 
 # Ratio of E_h(0) used as the positivity floor when fitting log-energy, and
 # the largest rise between samples a modal trace may show without a warning.
@@ -237,10 +238,10 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     """Exact semi-discrete flow sampled at `samples` points of [0, T].
 
     Propagates the energy coordinates z (see `orfd`) through one dense
-    eigendecomposition of the dissipative generator A_E; any stiffness is
-    fine.  The eigenbasis is well conditioned, so the sampled energy
-    (h/2) |z|^2 is monotone in time up to roundoff where the eigenvalues
-    are accurate.  With a gain above zero, a rise above
+    eigendecomposition of the dissipative generator A_E, with BLAS held to
+    one thread (`orfd._one_blas_thread`); any stiffness is fine.  The
+    eigenbasis is well conditioned, so the sampled energy (h/2) |z|^2 is
+    monotone in time up to roundoff where the eigenvalues are accurate.  With a gain above zero, a rise above
     ENERGY_FLOOR_ULPS * E(0) between samples (`max_energy_rise`) is warned
     about: dense eigenvalues carry an absolute error ~eps ||A_E||, which at
     stiff gains can put slow modes in the right half-plane.  Energies and
@@ -259,7 +260,8 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     _check_memory(8 * 4 * n * (6 * 4 * n + (1 + 4 * bool(keep_states)) * int(samples)),
                   f"modal trace at N={sys.N} with {samples} samples", "samples")
 
-    lam, V = np.linalg.eig(sys.A_E)
+    with _one_blas_thread():
+        lam, V = scipy.linalg.eig(sys.A_E)
     # A_E is real, so its eigenpairs are closed under conjugation: keep
     # Im >= 0 and let each strictly complex pair contribute 2 Re(c v e^(lam t)).
     keep = lam.imag >= 0.0
@@ -293,7 +295,7 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
         warnings.warn(
             f"modal energy rose by {rise:.3g} E0 between two samples, which the "
             "dissipative flow rules out: the generator eigenvalues are inaccurate "
-            "at these gains (ROADMAP item 1)", RuntimeWarning, stacklevel=2)
+            "at these gains (ROADMAP item 2)", RuntimeWarning, stacklevel=2)
     # u = C1^-1/2 Zu L_m^-1 and L_m is lower triangular, so the tip entry of
     # each rate block is its z entry over sqrt(c_a) L_m[N, N]
     tip = z[:, sys.tip_index] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[0][-1])

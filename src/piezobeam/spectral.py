@@ -11,8 +11,7 @@ agrees with 40-digit oracles (tests/oracle_frozen_abscissa.py and
 bench/oracle.py) to between 9.1e-12 and 4.2e-7 relative.  The dense
 eigenvalues carry an absolute error ~eps ||A_E||_2, and at stiff gains,
 where the tip rates make ||A_E||_2 ~1e22, that error swamps the slow modes:
-there the abscissa can come out positive and depends on the BLAS thread
-count (ROADMAP item 1).
+there the abscissa can come out positive (ROADMAP item 2).
 
 `spectrum` certifies its dominant eigenvalues: each gets an eigenvector by
 inverse iteration on the Hessenberg form of A_E (LAPACK dhsein, from seeded
@@ -27,28 +26,25 @@ show the error above, which is of the same relative size.
 LAPACK is called through the C-API capsules that scipy.linalg.cython_lapack
 exports (`_lapack`).  A ctypes call releases the GIL for the whole routine,
 which numpy's and scipy's own wrappers hold, so the eigensolves of a sweep
-run in parallel on its thread pool.
+run in parallel on its thread pool.  `spectrum` and `sweep` hold scipy's
+OpenBLAS to one thread (`orfd._one_blas_thread`), so their eigenvalues are
+the same at every BLAS thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import functools
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-import scipy
 from scipy.linalg import cython_lapack
 
 from .errors import DomainError
 from .materials import MaterialParams
-from .orfd import OrfdSystem, build_system
+from .orfd import OrfdSystem, _one_blas_thread, build_system
 from .simulate import generator_radius_estimate
 
 RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to max(||G||_2, ||D||_2)
@@ -95,48 +91,6 @@ def _with_workspace(call) -> None:
     query = np.empty(1)
     call(query, -1)
     call(np.empty(int(query[0])), int(query[0]))
-
-
-@functools.cache
-def _scipy_openblas() -> ctypes.CDLL | None:
-    """scipy's bundled OpenBLAS, the library cython_lapack runs on, if it is
-    loaded and exports its thread-count functions; otherwise None."""
-    if not hasattr(os, "RTLD_NOLOAD"):
-        return None
-    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob(
-            "libscipy_openblas*.so")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)  # only if already loaded
-            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return lib
-    return None
-
-
-# The thread count is process-wide, so sweeps in concurrent threads take
-# turns instead of restoring each other's count.
-_BLAS_PIN = threading.Lock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with scipy's OpenBLAS on one thread, then restore its
-    thread count.  Without the library (see `_scipy_openblas`) nothing
-    changes."""
-    lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    with _BLAS_PIN:
-        old = lib.scipy_openblas_get_num_threads()
-        lib.scipy_openblas_set_num_threads(1)
-        try:
-            yield
-        finally:
-            lib.scipy_openblas_set_num_threads(old)
 
 
 @dataclass(frozen=True)
@@ -277,6 +231,7 @@ def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
     return X, converged
 
 
+@_one_blas_thread()
 def spectrum(sys: OrfdSystem) -> SpectrumResult:
     """All generator eigenvalues, with the dominant pairs certified.
 
@@ -306,7 +261,8 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
 
 
 def spectral_abscissa(sys: OrfdSystem) -> float:
-    """Largest real part over the eigenvalues of the energy-form generator."""
+    """Largest real part over the eigenvalues of the energy-form generator,
+    without a BLAS hold: `sweep`'s pool threads call it inside the sweep's."""
     return float(_eigvals(sys.A_E).real.max())
 
 
@@ -314,17 +270,17 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
           threads: int | None = None) -> SpectrumGrid:
     """Spectral abscissa over the (xi1, xi2) grid.
 
-    The gain-independent blocks are assembled once; each cell copies them
-    with its own two tip entries (`OrfdSystem.with_gains`) and eigensolves
-    the copy.  Cells run on a pool of `threads` threads, one per CPU by
-    default, in parallel because the eigensolve releases the GIL.  While the
-    pool runs, scipy's OpenBLAS is held to one thread (`_one_blas_thread`),
-    so the cells do not oversubscribe the cores and each eigensolve is the
-    same at every BLAS thread count.  More pool threads than cores gain
-    nothing.  Cells are written back by index, so the result is the same at
-    every pool size.  A failing cell is recorded and left
-    as NaN instead of killing the sweep.  A mesh too large for MEMORY_BYTES
-    (see `orfd`) fails the whole sweep with DomainError before any cell runs.
+    Each cell builds its system (`build_system`) and eigensolves its A_E;
+    every cell shares the dense mesh factor (`OrfdSystem.G_factors`).  Cells
+    run on a pool of `threads` threads, one per CPU by default, in parallel
+    because the eigensolve releases the GIL.  While the pool runs, scipy's
+    OpenBLAS is held to one thread (`orfd._one_blas_thread`), so the cells
+    do not oversubscribe the cores and each eigensolve is the same at every
+    BLAS thread count.  More pool threads than cores gain nothing.  Cells
+    are written back by index, so the result is the same at every pool
+    size.  A failing cell is recorded and left as NaN instead of killing the
+    sweep.  A bad mesh size, or a mesh too large for MEMORY_BYTES (see
+    `orfd`), fails the whole sweep with DomainError before any cell runs.
     """
     xi1_values = np.asarray(xi1_values, dtype=float)
     xi2_values = np.asarray(xi2_values, dtype=float)
@@ -336,12 +292,12 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
     grid = np.full((xi1_values.size, xi2_values.size), np.nan)
     failures: list[tuple[int, int, str]] = []
 
-    base = build_system(params, N, 0.0, 0.0)
-    base.A_E  # fill the shared caches before the pool threads read them
+    # rejects the mesh up front and fills its factor before the pool reads it
+    build_system(params, N, 0.0, 0.0).A_E
 
     def cell(idx: tuple[int, int]):
         i, j = idx
-        return spectral_abscissa(base.with_gains(xi1_values[i], xi2_values[j]))
+        return spectral_abscissa(build_system(params, N, xi1_values[i], xi2_values[j]))
 
     indices = [(i, j) for i in range(xi1_values.size) for j in range(xi2_values.size)]
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:

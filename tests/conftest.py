@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,3 +67,20 @@ def dense_blocks(sys):
     B = np.zeros((n, n))
     B[-1, -1] = 1.0 / sys.h
     return M, Ah, B
+
+
+BLAS_THREADS = ("1", "2")
+
+
+def run_under_blas_threads(code: str) -> list:
+    """stdout JSON of `code`, run in a fresh interpreter at each of
+    BLAS_THREADS OpenBLAS threads with this checkout's src/ on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in BLAS_THREADS:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        runs.append(json.loads(out.stdout))
+    return runs

@@ -245,7 +245,7 @@ def test_modal_run_warns_when_the_energy_rises(tmp_path, capsys):
     # a stiff pair where the dense eigenvalue error puts slow modes in the
     # right half-plane: the trace grows (2.5e10 E0 in one step at one and at
     # two BLAS threads) although the flow is dissipative
-    with pytest.warns(RuntimeWarning, match="ROADMAP item 1"):
+    with pytest.warns(RuntimeWarning, match="ROADMAP item 2"):
         summary, E = _modal_run(capsys, tmp_path, 8.8e5, 6.8e11)
     assert summary["max_energy_rise"] == np.max(np.diff(E)) / E[0]
     assert summary["max_energy_rise"] > 1.0

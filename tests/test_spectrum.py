@@ -1,11 +1,7 @@
 """Generator spectra, residual certificates, amplifier-plane sweeps."""
-import json
-import os
-import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +17,8 @@ from piezobeam.spectral import (
     spectrum,
     sweep,
 )
+
+from conftest import BLAS_THREADS, run_under_blas_threads
 
 # 40-digit mpmath abscissas printed by tests/oracle_frozen_abscissa.py (an
 # independent assembly of the nodal generator); the acceptance run re-checks
@@ -85,15 +83,25 @@ def test_frozen_abscissas_do_not_depend_on_blas_threads():
         f"keys = {sorted(FROZEN_ABSCISSA)!r}\n"
         "print(json.dumps([spectral_abscissa(build_system(TABLE1, *k)) for k in keys]))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=300)
-        runs.append(json.loads(out.stdout))
+    runs = run_under_blas_threads(code)
     np.testing.assert_allclose(runs[0], runs[1], rtol=1e-7)
+
+
+def test_spectrum_does_not_depend_on_blas_threads():
+    # at this stiff pair the blocked Hessenberg reduction's gemm updates
+    # moved max_real from 189.3005828857422 at one OpenBLAS thread to
+    # 189.30057525634766 at two before spectrum held BLAS to one thread
+    code = (
+        "import json\n"
+        "from piezobeam import TABLE1\n"
+        "from piezobeam.orfd import build_system\n"
+        "from piezobeam.spectral import spectrum\n"
+        "res = spectrum(build_system(TABLE1, 80, 8.8e5, 6.8e11))\n"
+        "print(json.dumps([res.max_real, res.eigenvalues.real.tolist(),\n"
+        "                  res.eigenvalues.imag.tolist()]))\n"
+    )
+    one, two = run_under_blas_threads(code)
+    assert one == two
 
 
 def test_certificate_reaches_threshold(table1):
@@ -178,12 +186,15 @@ def test_radius_estimate_brackets_the_generator_norm(table1, N, gains):
 
 @pytest.mark.parametrize("N", [16, 80])
 def test_spectrum_reports_the_eigensolve_bit_for_bit(table1, N):
+    # spectrum holds BLAS to one thread, so the reference eigensolves do too
     sys = build_system(table1, N, 1e6, 1e9)
-    lam = _eigvals(sys.A_E)
+    with orfd._one_blas_thread():
+        lam = _eigvals(sys.A_E)
+        abscissa = spectral_abscissa(sys)
     res = spectrum(sys)
     np.testing.assert_array_equal(res.eigenvalues,
                                   lam[np.argsort(-lam.real, kind="stable")])
-    assert res.max_real == spectral_abscissa(sys)
+    assert res.max_real == abscissa
 
 
 def test_spectrum_refuses_a_generator_over_the_memory_budget(toy, monkeypatch):
@@ -232,8 +243,9 @@ def test_eigensolves_leave_the_generator_untouched(toy, monkeypatch):
 
     monkeypatch.setattr(spectral, "build_system", capture)
     sweep(toy, 6, [0.1, 1.0], [0.2, 2.0])
-    (base,) = built
-    np.testing.assert_array_equal(base.A_E, build_system(toy, 6, 0.0, 0.0).A_E)
+    assert len(built) == 5  # the up-front mesh check and four cells
+    for got in built:
+        np.testing.assert_array_equal(got.A_E, build_system(toy, 6, got.xi1, got.xi2).A_E)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -289,7 +301,7 @@ def test_sweep_matches_pointwise_solves(toy):
 def test_sweep_is_deterministic_across_runs_and_threads(toy):
     xi1s, xi2s = np.logspace(-2, 2, 5), np.logspace(-1, 1, 5)
     a = sweep(toy, 6, xi1s, xi2s, threads=1)
-    # pool threads share the base system; switch between them as often as
+    # pool threads share the mesh factor; switch between them as often as
     # possible, with more threads than cores
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -311,7 +323,8 @@ def test_sweep_pins_blas_to_one_thread_and_restores_it():
         "import json, threading\n"
         "import numpy as np\n"
         "from piezobeam import TABLE1\n"
-        "from piezobeam.spectral import _scipy_openblas, sweep\n"
+        "from piezobeam.orfd import _scipy_openblas\n"
+        "from piezobeam.spectral import sweep\n"
         "lib = _scipy_openblas()\n"
         "before = lib.scipy_openblas_get_num_threads()\n"
         "axis = np.logspace(-8, 12, 5)\n"
@@ -327,14 +340,8 @@ def test_sweep_pins_blas_to_one_thread_and_restores_it():
         "print(json.dumps({'grids': grids, 'before': before,\n"
         "                  'after': lib.scipy_openblas_get_num_threads()}))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     grids = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=300)
-        run = json.loads(out.stdout)
+    for threads, run in zip(BLAS_THREADS, run_under_blas_threads(code)):
         assert run["before"] == run["after"] == int(threads)
         grids += run["grids"]
     assert all(grid == grids[0] for grid in grids)

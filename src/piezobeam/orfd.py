@@ -46,9 +46,11 @@ propagation run on A_E; the midpoint stepper works on the second-order form
 above.  M and A_h are held as stencils and B as its entry 1/h; their
 Cholesky factors L_m and L_Ah are bidiagonal, in closed form, and map nodal
 states [y; u] to z and back with L_C2 (to_energy_coords, from_energy_coords).
-Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check;
-systems on one mesh share the mesh factor, read-only.  Every eigensolve runs
-under `_one_blas_thread`, so no result depends on the BLAS thread count.
+Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check.
+`spectral.spectrum`, `spectral.sweep` and the eigendecomposition in
+`simulate.modal_trace` run under `_one_blas_thread`, so their eigenvalues do
+not depend on the BLAS thread count; `spectral.spectral_abscissa` called on
+its own and modal_trace's real-basis solve take no hold.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import ctypes
 import os
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +101,9 @@ def _scipy_openblas() -> ctypes.CDLL | None:
 
 
 # The thread count is process-wide, so eigensolves in concurrent threads
-# take turns instead of restoring each other's count.  Not re-entrant.
-_BLAS_PIN = threading.Lock()
+# take turns instead of restoring each other's count.  Re-entrant within a
+# thread; a pool thread working for a holder must not take it.
+_BLAS_PIN = threading.RLock()
 
 
 @contextlib.contextmanager
@@ -150,11 +153,14 @@ class OrfdSystem:
 
     # The Cholesky factor of a Kronecker product is the product of the
     # factors: L_M = sqrt(C1) (x) L_m with C1 diagonal, L_A = L_C2 (x) L_Ah.
-    # M is tridiagonal, so L_m is bidiagonal, in closed form (`_mass_factor`).
+    # M is tridiagonal, so L_m is bidiagonal, with diagonal (1/2) sqrt((j+2)/(j+1))
+    # for j < N, tip 1/(2 sqrt(N+1)), and subdiagonal (1/2) sqrt(j/(j+1)).
     @cached_property
     def L_m(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower bidiagonal Cholesky factor of M as (diagonal, subdiagonal)."""
-        return _mass_factor(self.n_nodes)
+        j = np.arange(1.0, self.n_nodes)
+        return (np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(self.n_nodes)],
+                0.5 * np.sqrt(j / (j + 1.0)))
 
     @cached_property
     def L_Ah(self) -> tuple[np.ndarray, np.ndarray]:
@@ -174,9 +180,9 @@ class OrfdSystem:
 
     @cached_property
     def G_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coupling, L_m^-1 L_Ah), whose Kronecker product is G; the second
-        is dense, read-only and shared by every system on the mesh (N, h)."""
-        return self.coupling, _mesh_factor(self.n_nodes, self.h)
+        """(coupling, L_m^-1 L_Ah), whose Kronecker product is G; the second is dense."""
+        d, e = self.L_Ah  # (L_m^-1 L_Ah)^T = L_Ah^T L_m^-T
+        return self.coupling, _solve_right(np.diag(d) + np.diag(e, 1), self.L_m, True).T
 
     @property
     def tip_rates(self) -> np.ndarray:
@@ -217,23 +223,6 @@ class OrfdSystem:
         return np.concatenate([y, u], axis=1).reshape(np.shape(z))
 
 
-def _mass_factor(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """L_m on n nodes: diagonal (1/2) sqrt((j+2)/(j+1)) for j < n-1, tip
-    1/(2 sqrt(n)), subdiagonal (1/2) sqrt(j/(j+1))."""
-    j = np.arange(1.0, n)
-    return np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(n)], 0.5 * np.sqrt(j / (j + 1.0))
-
-
-@lru_cache(maxsize=8)
-def _mesh_factor(n: int, h: float) -> np.ndarray:
-    """L_m^-1 L_Ah on n nodes of spacing h, read-only: it depends on neither
-    the material nor the gains, so systems on one mesh share it."""
-    d, e = _mass_factor(n)  # (L_m^-1 L_Ah)^T = L_Ah^T L_m^-T, L_Ah as in OrfdSystem
-    mesh = _solve_right(np.diag(2.0 / h * d) + np.diag(-2.0 / h * e, 1), (d, e), True).T
-    mesh.flags.writeable = False
-    return mesh
-
-
 def _times_bidiag(X: np.ndarray, L: tuple) -> np.ndarray:
     """X L for the lower bidiagonal L = (diagonal, subdiagonal), on the last axis of X."""
     d, e = L
@@ -254,7 +243,8 @@ def _solve_right(X: np.ndarray, L: tuple, transpose: bool = False) -> np.ndarray
 
 
 def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> OrfdSystem:
-    """The semi-discretization on N >= 2 interior nodes at gains finite and >= 0."""
+    """The semi-discretization on N >= 2 interior nodes at gains finite and
+    >= 0 whose tip rates (`OrfdSystem.tip_rates`) are finite."""
     if not (isinstance(N, (int, np.integer)) and N >= 2):
         raise DomainError(f"N must be an integer >= 2, got {N!r}")
     for name, xi in (("xi1", xi1), ("xi2", xi2)):
@@ -262,8 +252,14 @@ def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> Orfd
             raise DomainError(f"{name} must be finite and >= 0, got {xi!r}")
     C2 = np.array([[params.alpha, -params.gamma * params.beta],
                    [-params.gamma * params.beta, params.beta]])
-    return OrfdSystem(N=int(N), h=params.L / (N + 1), xi1=float(xi1), xi2=float(xi2),
-                      C1=np.diag([params.rho, params.mu]), C2=C2)
+    sys = OrfdSystem(N=int(N), h=params.L / (N + 1), xi1=float(xi1), xi2=float(xi2),
+                     C1=np.diag([params.rho, params.mu]), C2=C2)
+    with np.errstate(over="ignore"):  # the check below reports it
+        finite = np.all(np.isfinite(sys.tip_rates))
+    if not finite:
+        raise DomainError(f"gains ({xi1!r}, {xi2!r}) overflow the tip rates at N={N}; "
+                          "request smaller gains")
+    return sys
 
 
 def hat_initial_condition(params: MaterialParams, N: int,

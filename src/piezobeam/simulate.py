@@ -239,9 +239,10 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
 
     Propagates the energy coordinates z (see `orfd`) through one dense
     eigendecomposition of the dissipative generator A_E, with BLAS held to
-    one thread (`orfd._one_blas_thread`); any stiffness is fine.  The
-    eigenbasis is well conditioned, so the sampled energy (h/2) |z|^2 is
-    monotone in time up to roundoff where the eigenvalues are accurate.  With a gain above zero, a rise above
+    one thread by the process-wide `orfd._one_blas_thread` (concurrent
+    eigensolves take turns); any stiffness is fine.  The eigenbasis is well
+    conditioned, so the sampled energy (h/2) |z|^2 is monotone in time up to
+    roundoff where the eigenvalues are accurate.  With a gain above zero, a rise above
     ENERGY_FLOOR_ULPS * E(0) between samples (`max_energy_rise`) is warned
     about: dense eigenvalues carry an absolute error ~eps ||A_E||, which at
     stiff gains can put slow modes in the right half-plane.  Energies and

@@ -240,7 +240,9 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
     (`_right_eigenvectors`), and residual_max is the largest
     |A_E x - mu x| / (|x| r), where r = `generator_radius_estimate`
     <= ||A_E||_2.  A vector that dhsein reports unconverged leaves the
-    result uncertified rather than raising.
+    result uncertified rather than raising.  It runs under the process-wide
+    `orfd._one_blas_thread` hold, so concurrent calls, and a `sweep` in
+    another thread, take turns.
     """
     A = sys.A_E
     hq, tau = _hessenberg(A)
@@ -270,13 +272,12 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
           threads: int | None = None) -> SpectrumGrid:
     """Spectral abscissa over the (xi1, xi2) grid.
 
-    Each cell builds its system (`build_system`) and eigensolves its A_E;
-    every cell shares the dense mesh factor (`OrfdSystem.G_factors`).  Cells
-    run on a pool of `threads` threads, one per CPU by default, in parallel
-    because the eigensolve releases the GIL.  While the pool runs, scipy's
-    OpenBLAS is held to one thread (`orfd._one_blas_thread`), so the cells
-    do not oversubscribe the cores and each eigensolve is the same at every
-    BLAS thread count.  More pool threads than cores gain nothing.  Cells
+    Each cell builds its system (`build_system`) and eigensolves its A_E.
+    Cells run on a pool of `threads` threads, one per CPU by default, in
+    parallel because the eigensolve releases the GIL.  While the pool runs,
+    scipy's OpenBLAS is held to one thread (`orfd._one_blas_thread`), so the
+    cells do not oversubscribe the cores and each eigensolve is the same at
+    every BLAS thread count.  More pool threads than cores gain nothing.  Cells
     are written back by index, so the result is the same at every pool
     size.  A failing cell is recorded and left as NaN instead of killing the
     sweep.  A bad mesh size, or a mesh too large for MEMORY_BYTES (see
@@ -292,7 +293,7 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
     grid = np.full((xi1_values.size, xi2_values.size), np.nan)
     failures: list[tuple[int, int, str]] = []
 
-    # rejects the mesh up front and fills its factor before the pool reads it
+    # rejects a bad or oversized mesh before any cell runs
     build_system(params, N, 0.0, 0.0).A_E
 
     def cell(idx: tuple[int, int]):

@@ -359,6 +359,15 @@ def test_generator_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatc
     assert not list(tmp_path.iterdir())  # no manifest, no output
 
 
+def test_gains_that_overflow_the_tip_rates_exit_one(tmp_path, capsys):
+    # 1.7e308 is finite, but 4(N+1) xi1 / (rho h) is not
+    code, out, err = _run(capsys, "simulate", "--method", "modal", "--xi1", "1.7e308",
+                          "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())  # no manifest, no output
+
+
 def test_failed_eigensolve_exits_one(tmp_path, capsys, monkeypatch):
     # dlahqr reporting INFO > 0 (an eigenvalue that did not converge) is one
     # error line and exit 1, not a traceback

@@ -186,12 +186,13 @@ def test_radius_estimate_brackets_the_generator_norm(table1, N, gains):
 
 @pytest.mark.parametrize("N", [16, 80])
 def test_spectrum_reports_the_eigensolve_bit_for_bit(table1, N):
-    # spectrum holds BLAS to one thread, so the reference eigensolves do too
+    # spectrum holds BLAS to one thread, so the reference eigensolves do too;
+    # the hold is re-entrant, so spectrum can take it again inside
     sys = build_system(table1, N, 1e6, 1e9)
     with orfd._one_blas_thread():
         lam = _eigvals(sys.A_E)
         abscissa = spectral_abscissa(sys)
-    res = spectrum(sys)
+        res = spectrum(sys)
     np.testing.assert_array_equal(res.eigenvalues,
                                   lam[np.argsort(-lam.real, kind="stable")])
     assert res.max_real == abscissa

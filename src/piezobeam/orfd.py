@@ -47,10 +47,10 @@ above.  M and A_h are held as stencils and B as its entry 1/h; their
 Cholesky factors L_m and L_Ah are bidiagonal, in closed form, and map nodal
 states [y; u] to z and back with L_C2 (to_energy_coords, from_energy_coords).
 Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check.
-`spectral.spectrum`, `spectral.sweep` and the eigendecomposition in
+The Hessenberg reductions of `spectral` and the eigendecomposition in
 `simulate.modal_trace` run under `_one_blas_thread`, so their eigenvalues do
-not depend on the BLAS thread count; `spectral.spectral_abscissa` called on
-its own and modal_trace's real-basis solve take no hold.
+not depend on the BLAS thread count; modal_trace's real-basis solve takes no
+hold.
 """
 
 from __future__ import annotations

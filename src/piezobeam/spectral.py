@@ -6,15 +6,23 @@ maps where the certified design intervals sit relative to the truly optimal
 gains.  Every eigensolve runs on A_E, the generator in energy coordinates
 (see `piezobeam.orfd`), with dense LAPACK routines (the generator is small;
 sparse iteration buys nothing here): one Hessenberg reduction (dgehrd) and
-the double-shift QR iteration (dlahqr).  At the reference pairs the abscissa
-agrees with 40-digit oracles (tests/oracle_frozen_abscissa.py and
-bench/oracle.py) to between 9.1e-12 and 4.2e-7 relative.  The dense
-eigenvalues carry an absolute error ~eps ||A_E||_2, and at stiff gains,
-where the tip rates make ||A_E||_2 ~1e22, that error swamps the slow modes:
-there the abscissa can come out positive (ROADMAP item 2).
+the double-shift QR iteration (dlahqr).  The reduction runs on a copy of
+A_E with p_dot(L), its last coordinate, moved to the front (`_tip_first`).
+The gains enter A_E only as the two tip rates on its diagonal, and dgehrd
+never reads entry (0, 0), so the p-tip rate is not mixed into the
+reflectors and the form at (xi1, xi2) is the form at (xi1, 0) with
+H[0, 0] = -d_2: `sweep` reduces once per xi1 row.  At the reference pairs
+the abscissa agrees with 40-digit oracles (tests/oracle_frozen_abscissa.py
+and bench/oracle.py) to between 9.1e-12 and 4.2e-7 relative.  The dense
+eigenvalues still carry an absolute error ~eps ||A_E||_2 from the entries
+the reduction mixes; at stiff gains the p-tip rate sets ||A_E||_2 (~1e22
+at (8.8e5, 6.8e11)) but stays out of them, and the abscissa there reads
+between -1.4691162 and -1.4691157 at N = 8 to 80, against the oracle's
+-1.46911574973 at N=8 (with p_dot(L) reduced last it read +45 to +653).
+A large xi1 tip rate is still mixed in (ROADMAP item 2).
 
 `spectrum` certifies its dominant eigenvalues: each gets an eigenvector by
-inverse iteration on the Hessenberg form of A_E (LAPACK dhsein, from seeded
+inverse iteration on the same Hessenberg form (LAPACK dhsein, from seeded
 random start vectors), and the residual |A_E x - mu x| / (|x| r) is checked
 against RESIDUAL_RTOL.  r = max(||G||_2, ||D||_2) is read in closed form by
 `simulate.generator_radius_estimate`; G and D are blocks of
@@ -26,9 +34,10 @@ show the error above, which is of the same relative size.
 LAPACK is called through the C-API capsules that scipy.linalg.cython_lapack
 exports (`_lapack`).  A ctypes call releases the GIL for the whole routine,
 which numpy's and scipy's own wrappers hold, so the eigensolves of a sweep
-run in parallel on its thread pool.  `spectrum` and `sweep` hold scipy's
-OpenBLAS to one thread (`orfd._one_blas_thread`), so their eigenvalues are
-the same at every BLAS thread count.
+run in parallel on its thread pool.  `spectrum`, `sweep` and
+`spectral_abscissa` reduce with scipy's OpenBLAS held to one thread
+(`orfd._one_blas_thread`), so their eigenvalues are the same at every BLAS
+thread count; the QR iteration uses no threaded BLAS.
 """
 
 from __future__ import annotations
@@ -127,16 +136,18 @@ class SpectrumGrid:
     failures: list = field(default_factory=list)
 
 
-def _hessenberg(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = Q H Q^T by dgehrd over the whole matrix (ilo = 1, ihi = n).
+def _hessenberg(hq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hq = Q H Q^T by dgehrd over the whole matrix (ilo = 1, ihi = n), in place.
 
-    Returns hq, in Fortran order with H on and above the subdiagonal and the
-    reflectors of Q below it, and the reflectors' scalars tau.  Non-finite
-    input raises np.linalg.LinAlgError.
+    hq is a square float64 array in Fortran order, which dgehrd overwrites
+    with H on and above the subdiagonal and the reflectors of Q below it.
+    Returns hq and the reflectors' scalars tau.  Non-finite input raises
+    np.linalg.LinAlgError.
     """
-    hq = np.array(A, dtype=float, order="F")  # dgehrd overwrites its input
     if hq.ndim != 2 or hq.shape[0] != hq.shape[1]:
         raise np.linalg.LinAlgError(f"expected a square matrix, got shape {hq.shape}")
+    if hq.dtype != np.float64 or not hq.flags.f_contiguous:
+        raise TypeError("dgehrd needs a float64 array in Fortran order")
     if not np.isfinite(hq).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     n = hq.shape[0]
@@ -185,8 +196,22 @@ def _eigvals(A: np.ndarray) -> np.ndarray:
     diagonal (tests/test_orfd.py).  Non-finite input and a failed QR
     iteration raise np.linalg.LinAlgError.
     """
-    h, _ = _hessenberg(A)
+    h, _ = _hessenberg(np.array(A, dtype=float, order="F"))
     return _hessenberg_eigvals(h)
+
+
+def _tip_first(A: np.ndarray) -> np.ndarray:
+    """A fresh Fortran-order copy of the generator A with its last index,
+    p_dot(L) (`OrfdSystem.tip_index`), cycled to the front.
+
+    dgehrd never reads entry (0, 0): its first reflector acts on rows and
+    columns 1..n-1 only.  So the Hessenberg form of the copy holds the
+    p-tip rate -d_2 in H[0, 0], unmixed with the rest, and the form at
+    (xi1, xi2) is the form at (xi1, 0) with H[0, 0] = -d_2.
+    """
+    P = np.empty(A.shape, order="F")
+    P[0, 0], P[0, 1:], P[1:, 0], P[1:, 1:] = A[-1, -1], A[-1, :-1], A[:-1, -1], A[:-1, :-1]
+    return P
 
 
 def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
@@ -235,8 +260,10 @@ def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
 def spectrum(sys: OrfdSystem) -> SpectrumResult:
     """All generator eigenvalues, with the dominant pairs certified.
 
-    The N_CERTIFY eigenvalues mu of largest real part (conjugates counted
-    once) each get a vector x by inverse iteration on the Hessenberg form
+    The eigensolve runs on the tip-first Hessenberg form (`_tip_first`), the
+    one `spectral_abscissa` and `sweep` use, so max_real equals theirs bit
+    for bit.  The N_CERTIFY eigenvalues mu of largest real part (conjugates
+    counted once) each get a vector x by inverse iteration on that form
     (`_right_eigenvectors`), and residual_max is the largest
     |A_E x - mu x| / (|x| r), where r = `generator_radius_estimate`
     <= ||A_E||_2.  A vector that dhsein reports unconverged leaves the
@@ -245,13 +272,14 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
     another thread, take turns.
     """
     A = sys.A_E
-    hq, tau = _hessenberg(A)
+    hq, tau = _hessenberg(_tip_first(A))
     lam = _hessenberg_eigvals(hq.copy(order="F"))  # dlahqr overwrites its input
     order = np.argsort(-lam.real, kind="stable")
     # the Im > 0 member of a pair comes first in LAPACK order
     select = np.zeros(lam.size, dtype=bool)
     select[order[lam.imag[order] >= 0.0][:N_CERTIFY]] = True
     X, converged = _right_eigenvectors(hq, tau, lam, select)
+    X = np.roll(X, -1, axis=0)  # back from tip-first order to the order of z
     AX = A @ X.real + 1j * (A @ X.imag)  # A @ X would make a complex copy of A
     residuals = (np.linalg.norm(AX - X * lam[select], axis=0)
                  / (np.linalg.norm(X, axis=0) * generator_radius_estimate(sys)))
@@ -262,26 +290,50 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
                           certified=converged and residual_max <= RESIDUAL_RTOL)
 
 
-def spectral_abscissa(sys: OrfdSystem) -> float:
-    """Largest real part over the eigenvalues of the energy-form generator,
-    without a BLAS hold: `sweep`'s pool threads call it inside the sweep's."""
-    return float(_eigvals(sys.A_E).real.max())
+def spectral_abscissa(sys: OrfdSystem, row_form: np.ndarray | None = None) -> float:
+    """Largest real part over the eigenvalues of the energy-form generator.
+
+    Without row_form it reduces the tip-first copy of A_E (`_tip_first`)
+    under the `orfd._one_blas_thread` hold, so the result is the same at
+    every BLAS thread count.  row_form is that reduction's Hessenberg part
+    for any system with the same N and xi1, as `sweep` shares it along a
+    row; the call then copies it, writes -tip_rates[1] into H[0, 0], and
+    runs only the QR iteration, which takes no hold: `sweep`'s pool threads
+    call it inside the sweep's.  A row_form of another mesh size raises
+    DomainError.
+    """
+    if row_form is None:
+        with _one_blas_thread():
+            h, _ = _hessenberg(_tip_first(sys.A_E))
+    else:
+        n = 4 * sys.n_nodes
+        if np.shape(row_form) != (n, n):
+            raise DomainError(f"row_form has shape {np.shape(row_form)}, expected ({n}, {n})")
+        h = np.array(row_form, dtype=float, order="F")
+        h[0, 0] = -sys.tip_rates[1]
+    return float(_hessenberg_eigvals(h).real.max())
 
 
 def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
           threads: int | None = None) -> SpectrumGrid:
     """Spectral abscissa over the (xi1, xi2) grid.
 
-    Each cell builds its system (`build_system`) and eigensolves its A_E.
-    Cells run on a pool of `threads` threads, one per CPU by default, in
-    parallel because the eigensolve releases the GIL.  While the pool runs,
-    scipy's OpenBLAS is held to one thread (`orfd._one_blas_thread`), so the
-    cells do not oversubscribe the cores and each eigensolve is the same at
-    every BLAS thread count.  More pool threads than cores gain nothing.  Cells
-    are written back by index, so the result is the same at every pool
-    size.  A failing cell is recorded and left as NaN instead of killing the
-    sweep.  A bad mesh size, or a mesh too large for MEMORY_BYTES (see
-    `orfd`), fails the whole sweep with DomainError before any cell runs.
+    The gains enter A_E only as its two tip rates, and the tip-first
+    Hessenberg form depends on xi2 only through H[0, 0] (`_tip_first`).  So
+    each row reduces the generator at (xi1, 0) once, and each cell builds
+    its system (`build_system`, which checks the gains) and calls
+    `spectral_abscissa` with that row form: one QR iteration per cell, bit
+    for bit the abscissa the cell's own reduction gives.  Rows run on a
+    pool of `threads` threads, one per CPU by default, in parallel because
+    the LAPACK calls release the GIL; each thread holds one row form at a
+    time.  While the pool runs, scipy's OpenBLAS is held to one thread
+    (`orfd._one_blas_thread`), so the rows do not oversubscribe the cores
+    and each reduction is the same at every BLAS thread count.  More pool
+    threads than cores gain nothing.  Cells are written back by index, so
+    the result is the same at every pool size.  A failing cell, or a row
+    whose reduction fails, is recorded and left as NaN instead of killing
+    the sweep.  A bad mesh size, or a mesh too large for MEMORY_BYTES (see
+    `orfd`), fails the whole sweep with DomainError before any row runs.
     """
     xi1_values = np.asarray(xi1_values, dtype=float)
     xi2_values = np.asarray(xi2_values, dtype=float)
@@ -293,21 +345,32 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
     grid = np.full((xi1_values.size, xi2_values.size), np.nan)
     failures: list[tuple[int, int, str]] = []
 
-    # rejects a bad or oversized mesh before any cell runs
+    # rejects a bad or oversized mesh before any row runs
     build_system(params, N, 0.0, 0.0).A_E
 
-    def cell(idx: tuple[int, int]):
-        i, j = idx
-        return spectral_abscissa(build_system(params, N, xi1_values[i], xi2_values[j]))
-
-    indices = [(i, j) for i in range(xi1_values.size) for j in range(xi2_values.size)]
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
-        futures = {idx: pool.submit(cell, idx) for idx in indices}
-        for (i, j), fut in futures.items():
+    def row(i: int) -> list:
+        """Row i's abscissas; a cell that failed holds its exception."""
+        xi1 = xi1_values[i]
+        try:
+            form, _ = _hessenberg(_tip_first(build_system(params, N, xi1, 0.0).A_E))
+        except Exception as exc:  # noqa: BLE001 - every cell of the row fails with it
+            return [exc] * xi2_values.size
+        cells = []
+        for xi2 in xi2_values:
             try:
-                grid[i, j] = fut.result()
+                cells.append(spectral_abscissa(build_system(params, N, xi1, xi2), form))
             except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-                failures.append((i, j, str(exc)))
+                cells.append(exc)
+        return cells
+
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
+        rows = list(pool.map(row, range(xi1_values.size)))
+    for i, cells in enumerate(rows):
+        for j, got in enumerate(cells):
+            if isinstance(got, Exception):
+                failures.append((i, j, str(got)))
+            else:
+                grid[i, j] = got
 
     if failures:
         warnings.warn(f"{len(failures)} sweep cell(s) failed; grid holds NaN there",

@@ -13,6 +13,8 @@ from piezobeam.simulate import generator_radius_estimate
 from piezobeam.spectral import (
     RESIDUAL_RTOL,
     _eigvals,
+    _hessenberg,
+    _tip_first,
     spectral_abscissa,
     spectrum,
     sweep,
@@ -27,6 +29,14 @@ FROZEN_ABSCISSA = {
     (80, 1e6, 1e6): -177.00658176750401751,
     (40, 1e6, 1e9): -177.20483119635712526,
     (80, 1e6, 1e9): -177.15768927379530208,
+}
+
+# The same oracle at stiff pairs, where a tip rate (~1e22 at the first) sets
+# ||A_E||_2, with the tolerance each is held to: the tip-first eigensolve
+# read -1.4691157564 (4.6e-9 relative) and -9.9903e-4 (3.5e-5 relative)
+STIFF_ABSCISSA = {
+    (8, 8.8e5, 6.8e11): (-1.4691157497338142419, 1e-8),
+    (8, 1e12, 1e12): (-9.9899900000399283447e-4, 1e-4),
 }
 
 
@@ -66,6 +76,23 @@ def test_frozen_abscissas(table1, key):
     np.testing.assert_allclose(got, FROZEN_ABSCISSA[key], rtol=1e-7)
 
 
+@pytest.mark.parametrize("key", sorted(STIFF_ABSCISSA))
+def test_stiff_abscissas_match_the_oracle(table1, key):
+    # with p_dot(L) first, the p-tip rate sits in H[0, 0], which the
+    # Hessenberg reduction never mixes into the other entries
+    want, rtol = STIFF_ABSCISSA[key]
+    np.testing.assert_allclose(spectral_abscissa(build_system(table1, *key)), want, rtol=rtol)
+
+
+def test_stiff_spectrum_is_stable_and_certified(table1):
+    # A_E + A_E^T <= 0 rules out a positive abscissa.  With p_dot(L) reduced
+    # last, the p-tip rate mixed into the reflectors gives +189.3 here, and
+    # the residual certificate still passes it
+    res = spectrum(build_system(table1, 80, 8.8e5, 6.8e11))
+    assert res.max_real < 0.0
+    assert res.certified
+
+
 def test_abscissa_is_stable_under_mesh_refinement(table1):
     # ORFD keeps the discrete decay rate uniform in h: the oracle abscissas
     # at N=40 and N=80 differ by 2.7e-4 relative
@@ -80,17 +107,20 @@ def test_frozen_abscissas_do_not_depend_on_blas_threads():
         "from piezobeam import TABLE1\n"
         "from piezobeam.orfd import build_system\n"
         "from piezobeam.spectral import spectral_abscissa\n"
-        f"keys = {sorted(FROZEN_ABSCISSA)!r}\n"
+        f"keys = {sorted(FROZEN_ABSCISSA) + [(80, 8.8e5, 6.8e11)]!r}\n"
         "print(json.dumps([spectral_abscissa(build_system(TABLE1, *k)) for k in keys]))\n"
     )
-    runs = run_under_blas_threads(code)
-    np.testing.assert_allclose(runs[0], runs[1], rtol=1e-7)
+    # without spectral_abscissa's BLAS hold the blocked reduction's gemm
+    # updates move the stiff key from -1.4691162289447974 at one OpenBLAS
+    # thread to -1.4691160777055545 at two
+    one, two = run_under_blas_threads(code)
+    assert one == two
 
 
 def test_spectrum_does_not_depend_on_blas_threads():
-    # at this stiff pair the blocked Hessenberg reduction's gemm updates
-    # moved max_real from 189.3005828857422 at one OpenBLAS thread to
-    # 189.30057525634766 at two before spectrum held BLAS to one thread
+    # at this stiff pair, N=80, the blocked Hessenberg reduction's gemm
+    # updates move the eigenvalues with the OpenBLAS thread count unless
+    # spectrum holds BLAS to one thread
     code = (
         "import json\n"
         "from piezobeam import TABLE1\n"
@@ -186,11 +216,12 @@ def test_radius_estimate_brackets_the_generator_norm(table1, N, gains):
 
 @pytest.mark.parametrize("N", [16, 80])
 def test_spectrum_reports_the_eigensolve_bit_for_bit(table1, N):
-    # spectrum holds BLAS to one thread, so the reference eigensolves do too;
-    # the hold is re-entrant, so spectrum can take it again inside
+    # spectrum and spectral_abscissa eigensolve the tip-first copy of A_E and
+    # hold BLAS to one thread, so the reference eigensolve does too; the
+    # hold is re-entrant, so they can take it again inside
     sys = build_system(table1, N, 1e6, 1e9)
     with orfd._one_blas_thread():
-        lam = _eigvals(sys.A_E)
+        lam = _eigvals(_tip_first(sys.A_E))
         abscissa = spectral_abscissa(sys)
         res = spectrum(sys)
     np.testing.assert_array_equal(res.eigenvalues,
@@ -244,9 +275,55 @@ def test_eigensolves_leave_the_generator_untouched(toy, monkeypatch):
 
     monkeypatch.setattr(spectral, "build_system", capture)
     sweep(toy, 6, [0.1, 1.0], [0.2, 2.0])
-    assert len(built) == 5  # the up-front mesh check and four cells
+    # the up-front mesh check, one system per row at xi2 = 0 and four cells;
+    # only the first three form A_E, the cells read their tip rates
+    assert len(built) == 7
+    assert sum("A_E" in got.__dict__ for got in built) == 3
     for got in built:
         np.testing.assert_array_equal(got.A_E, build_system(toy, 6, got.xi1, got.xi2).A_E)
+
+
+@pytest.mark.parametrize("N", [8, 80])
+def test_tip_first_form_depends_on_xi2_only_in_its_corner(table1, N):
+    # what sweep shares along a row: dgehrd never reads entry (0, 0) of the
+    # tip-first matrix, so the form at (xi1, xi2) is the one at (xi1, 0)
+    # with H[0, 0] = -tip_rates[1].  At N=80, 4(N+1) = 324 takes dgehrd's
+    # blocked path.
+    stiff = build_system(table1, N, 8.8e5, 6.8e11)
+    with orfd._one_blas_thread():
+        hq, tau = _hessenberg(_tip_first(stiff.A_E))
+        hq0, tau0 = _hessenberg(_tip_first(build_system(table1, N, 8.8e5, 0.0).A_E))
+    np.testing.assert_array_equal(tau, tau0)
+    assert hq[0, 0] == -stiff.tip_rates[1]
+    hq[0, 0] = hq0[0, 0]
+    np.testing.assert_array_equal(hq, hq0)
+
+
+def test_sweep_reduces_once_per_row(toy, monkeypatch):
+    reduced = []
+    real_hessenberg = spectral._hessenberg
+
+    def counting(hq):
+        reduced.append(hq.shape)
+        return real_hessenberg(hq)
+
+    monkeypatch.setattr(spectral, "_hessenberg", counting)
+    grid = sweep(toy, 6, [0.0, 0.1, 1.0, 10.0], [0.2, 2.0, 1e12])
+    assert np.all(np.isfinite(grid.max_real_grid))
+    assert len(reduced) == 4
+
+
+def test_spectral_abscissa_rejects_a_row_form_of_another_mesh(toy):
+    form, _ = _hessenberg(_tip_first(build_system(toy, 6, 0.5, 0.0).A_E))
+    with pytest.raises(DomainError, match=r"row_form has shape \(28, 28\), expected \(36, 36\)"):
+        spectral_abscissa(build_system(toy, 8, 0.5, 0.7), form)
+
+
+@pytest.mark.parametrize("A", [np.eye(4), np.eye(4, dtype=np.float32, order="F")])
+def test_hessenberg_refuses_an_array_dgehrd_would_misread(A):
+    # dgehrd reads a C-order array as its transpose and float32 as garbage
+    with pytest.raises(TypeError, match="float64 array in Fortran order"):
+        _hessenberg(A)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

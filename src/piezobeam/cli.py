@@ -254,7 +254,7 @@ def cmd_sweep(args: argparse.Namespace,
     consts = derive_constants(params)
     design = amplifier_intervals(params, consts, args.epsilon)
 
-    grid = sweep(params, args.N, xi1_values, xi2_values, threads=args.threads)
+    grid = sweep(params, args.N, xi1_values, xi2_values)
     out = _resolve_out(args, "sweep.csv")
     rows = []
     for i, x1 in enumerate(grid.xi1_values):
@@ -337,8 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi2-points", type=int, default=25)
     sp.add_argument("--table3", action="store_true",
                     help="use the reference 6x7 gain grid instead of the log grids")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="sweep pool threads (default: one per CPU)")
     sp.add_argument("--epsilon", type=float, default=1.0,
                     help="design box drawn in the in_design_box column")
     sp.add_argument("--out", help="sweep CSV path (default sweep.csv)")

@@ -47,10 +47,11 @@ above.  M and A_h are held as stencils and B as its entry 1/h; their
 Cholesky factors L_m and L_Ah are bidiagonal, in closed form, and map nodal
 states [y; u] to z and back with L_C2 (to_energy_coords, from_energy_coords).
 Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check.
-The Hessenberg reductions of `spectral` and the eigendecomposition in
-`simulate.modal_trace` run under `_one_blas_thread`, so their eigenvalues do
-not depend on the BLAS thread count; modal_trace's real-basis solve takes no
-hold.
+Every eigensolve of A_E (`spectral`, `simulate.modal_trace`) runs on the
+copy `_tip_first` makes, with p_dot(L) first so that the reduction does not
+mix its rate into the other entries; `_from_tip_first` rolls the vectors
+back.  Their calls that can thread BLAS take `_one_blas_thread`, so their
+results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -100,17 +101,16 @@ def _scipy_openblas() -> ctypes.CDLL | None:
     return None
 
 
-# The thread count is process-wide, so eigensolves in concurrent threads
-# take turns instead of restoring each other's count.  Re-entrant within a
-# thread; a pool thread working for a holder must not take it.
+# The thread count is process-wide, so holders in concurrent threads take
+# turns instead of restoring each other's count.
 _BLAS_PIN = threading.RLock()
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body, or the decorated function, with scipy's OpenBLAS on one
-    thread, then restore its thread count.  Without the library (see
-    `_scipy_openblas`) nothing changes."""
+    """Run the body with scipy's OpenBLAS on one thread, then restore its
+    thread count.  Without the library (see `_scipy_openblas`) nothing
+    changes."""
     lib = _scipy_openblas()
     if lib is None:
         yield
@@ -221,6 +221,25 @@ class OrfdSystem:
         y = np.linalg.solve(self.L_C2.T, _solve_right(blocks[:, :2], self.L_Ah))
         u = _solve_right(blocks[:, 2:], self.L_m) / np.sqrt(np.diag(self.C1))[:, None]
         return np.concatenate([y, u], axis=1).reshape(np.shape(z))
+
+
+def _tip_first(A: np.ndarray) -> np.ndarray:
+    """A fresh Fortran-order float64 copy of the generator A with its last
+    index, p_dot(L) (`OrfdSystem.tip_index`), cycled to the front.
+
+    dgehrd never reads entry (0, 0): its first reflector acts on rows and
+    columns 1..n-1 only.  So the Hessenberg form of the copy holds the
+    p-tip rate -d_2 in H[0, 0], unmixed with the rest, and the form at
+    (xi1, xi2) is the form at (xi1, 0) with H[0, 0] = -d_2.
+    """
+    P = np.empty(A.shape, order="F")
+    P[0, 0], P[0, 1:], P[1:, 0], P[1:, 1:] = A[-1, -1], A[-1, :-1], A[:-1, -1], A[:-1, :-1]
+    return P
+
+
+def _from_tip_first(X: np.ndarray) -> np.ndarray:
+    """The rows of X, vectors in the order of `_tip_first`, back in the order of z."""
+    return np.roll(X, -1, axis=0)
 
 
 def _times_bidiag(X: np.ndarray, L: tuple) -> np.ndarray:

@@ -19,14 +19,15 @@ Two propagators:
   reads a bound on the spectral radius of A_E from the 2x2 Kronecker factor
   of G, the closed-form norm of the mesh factor and the two tip rates.
 * `modal_trace` -- exact propagation of the semi-discrete flow through the
-  eigendecomposition of the generator A_E in energy coordinates (see `orfd`).
+  eigendecomposition of the generator A_E in energy coordinates (see `orfd`),
+  on the tip-first copy every eigensolve of A_E uses (`orfd._tip_first`).
   dt-free; the sample times only decide where the trace is evaluated.  This
   is the reference for stiff amplifier pairs (realistic constants put the
   fastest mode near 1e13 rad/s, far beyond any feasible midpoint step).
   A_E + A_E^T <= 0 and its eigenbasis is well conditioned, so the sampled
   energy (h/2)|z|^2 is monotone in time wherever the computed eigenvalues
-  are accurate.  At stiff gains they are not (ROADMAP item 2), the trace
-  can grow, and a warning says so.
+  are accurate.  Where they are not (ROADMAP item 2) the trace can grow,
+  and a warning says so.
 
 Both take and return states as flat arrays [v, p, v_dot, p_dot] of length
 4(N+1).
@@ -40,11 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import daxpy, ddot, dsbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.blas import daxpy, ddot, dgemm, dsbmv
+from scipy.linalg.lapack import dgesv, dpbtrf, dpbtrs
 
 from .errors import DomainError
-from .orfd import OrfdSystem, _check_memory, _one_blas_thread, check_state
+from .orfd import (OrfdSystem, _check_memory, _from_tip_first, _one_blas_thread, _tip_first,
+                   check_state)
 
 # Ratio of E_h(0) used as the positivity floor when fitting log-energy, and
 # the largest rise between samples a modal trace may show without a warning.
@@ -238,17 +240,19 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     """Exact semi-discrete flow sampled at `samples` points of [0, T].
 
     Propagates the energy coordinates z (see `orfd`) through one dense
-    eigendecomposition of the dissipative generator A_E, with BLAS held to
-    one thread by the process-wide `orfd._one_blas_thread` (concurrent
-    eigensolves take turns); any stiffness is fine.  The eigenbasis is well
-    conditioned, so the sampled energy (h/2) |z|^2 is monotone in time up to
-    roundoff where the eigenvalues are accurate.  With a gain above zero, a rise above
-    ENERGY_FLOOR_ULPS * E(0) between samples (`max_energy_rise`) is warned
-    about: dense eigenvalues carry an absolute error ~eps ||A_E||, which at
-    stiff gains can put slow modes in the right half-plane.  Energies and
-    tip rates are read from z; nodal states are recovered for final_state
-    and, with keep_states, for every sample.  Requests whose arrays would
-    exceed orfd.MEMORY_BYTES are refused before anything is allocated.
+    eigendecomposition of the dissipative generator A_E, on its tip-first
+    copy (`orfd._tip_first`); any stiffness is fine.  That eigensolve, the
+    real-basis solve and the sample products hold scipy's OpenBLAS to one
+    thread, so the trace is the same at every BLAS thread count.  The
+    eigenbasis is well conditioned, so the sampled energy (h/2) |z|^2 is
+    monotone in time up to roundoff where the eigenvalues are accurate.
+    With a gain above zero, a rise above ENERGY_FLOOR_ULPS * E(0) between
+    samples (`max_energy_rise`) is warned about: dense eigenvalues carry an
+    absolute error ~eps ||A_E||, which can put slow modes in the right
+    half-plane.  Energies and tip rates are read from z; nodal states are
+    recovered for final_state and, with keep_states, for every sample.
+    Requests whose arrays would exceed orfd.MEMORY_BYTES are refused before
+    anything is allocated.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"T must be positive, got {T!r}")
@@ -256,38 +260,45 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
         raise DomainError(f"need an integer number of samples >= 2, got {samples!r}")
     flat = check_state(sys, state0)
     n = sys.N + 1
-    # A_E and its eigenbasis take ~6 dense 4n x 4n blocks, z one row of 4n
+    # Inside eig 5 dense 4n x 4n blocks live: A_E, its tip-first copy, and
+    # eig's real eigenvectors and their complex copy.  z takes one row of 4n
     # doubles per sample, and the nodal states of keep_states ~4 more.
-    _check_memory(8 * 4 * n * (6 * 4 * n + (1 + 4 * bool(keep_states)) * int(samples)),
+    _check_memory(8 * 4 * n * (5 * 4 * n + (1 + 4 * bool(keep_states)) * int(samples)),
                   f"modal trace at N={sys.N} with {samples} samples", "samples")
-
-    with _one_blas_thread():
-        lam, V = scipy.linalg.eig(sys.A_E)
-    # A_E is real, so its eigenpairs are closed under conjugation: keep
-    # Im >= 0 and let each strictly complex pair contribute 2 Re(c v e^(lam t)).
-    keep = lam.imag >= 0.0
-    lam, V = lam[keep], V[:, keep]
-    cplx = lam.imag > 0.0
-    # Real basis W = [Re V, Im V[:, cplx]]: z0 = W [a; b] is one real solve,
-    # and c = a - i b gives z(t) = Re(V (c e^(lam t))) = W [Re p; -Im p[cplx]].
-    basis = np.hstack([V.real, V.imag[:, cplx]])
-    ab = np.linalg.solve(basis, sys.to_energy_coords(flat))
-    coeff = ab[: lam.size].astype(complex)
-    coeff.imag[cplx] = -ab[lam.size:]
-    if not (np.all(np.isfinite(lam.view(float))) and np.all(np.isfinite(coeff.view(float)))):
-        raise RuntimeError("eigendecomposition of the generator produced non-finite data")
-
-    # Sample i*K + j of the linspace grid has the phases
-    # exp(lam (i K dt)) * exp(lam (j dt)); one block of K samples at a time
-    # keeps the complex phases small.
     times = np.linspace(0.0, T, samples)
     dt = T / (samples - 1)
     K = math.isqrt(samples - 1) + 1
-    fine = np.exp(np.outer(np.arange(K) * dt, lam)) * coeff
     z = np.empty((samples, 4 * n))
-    for start in range(0, samples, K):
-        p = np.exp(lam * (start * dt)) * fine[: samples - start]
-        z[start:start + K] = np.hstack([p.real, -p.imag[:, cplx]]) @ basis.T
+
+    with _one_blas_thread():
+        lam, V = scipy.linalg.eig(_tip_first(sys.A_E), overwrite_a=True)
+        # A_E is real, so its eigenpairs are closed under conjugation: keep
+        # Im >= 0 and let each strictly complex pair contribute 2 Re(c v e^(lam t)).
+        keep = lam.imag >= 0.0
+        lam, V = lam[keep], V[:, keep]
+        cplx = lam.imag > 0.0
+        # Real basis W = [Re V, Im V[:, cplx]] in the order of z: z0 = W [a; b]
+        # is one real solve, and c = a - i b gives
+        # z(t) = Re(V (c e^(lam t))) = W [Re p; -Im p[cplx]].
+        basis = _from_tip_first(np.hstack([V.real, V.imag[:, cplx]]))
+        del V
+        _, _, ab, info = dgesv(basis, sys.to_energy_coords(flat))
+        coeff = ab[: lam.size].astype(complex)
+        coeff.imag[cplx] = -ab[lam.size:]
+        if info or not (np.all(np.isfinite(lam.view(float)))
+                        and np.all(np.isfinite(coeff.view(float)))):
+            raise RuntimeError("eigendecomposition of the generator is singular or non-finite")
+
+        # Sample i*K + j of the linspace grid has the phases
+        # exp(lam (i K dt)) * exp(lam (j dt)); one block of K samples at a
+        # time keeps the complex phases small.
+        fine = np.exp(np.outer(np.arange(K) * dt, lam)) * coeff
+        for start in range(0, samples, K):
+            p = np.exp(lam * (start * dt)) * fine[: samples - start]
+            # z's block transposed, W [Re p; -Im p[cplx]]^T, in place; W (like eig's
+            # vectors) and the transposed C-order blocks are Fortran-order: no copies
+            dgemm(1.0, basis, np.hstack([p.real, -p.imag[:, cplx]]).T,
+                  c=z[start:start + len(p)].T, overwrite_c=1)
 
     energies = 0.5 * sys.h * np.einsum("ij,ij->i", z, z)
     rise = max_energy_rise(energies)

@@ -7,7 +7,8 @@ gains.  Every eigensolve runs on A_E, the generator in energy coordinates
 (see `piezobeam.orfd`), with dense LAPACK routines (the generator is small;
 sparse iteration buys nothing here): one Hessenberg reduction (dgehrd) and
 the double-shift QR iteration (dlahqr).  The reduction runs on a copy of
-A_E with p_dot(L), its last coordinate, moved to the front (`_tip_first`).
+A_E with p_dot(L), its last coordinate, moved to the front
+(`orfd._tip_first`), the copy `simulate.modal_trace` eigendecomposes too.
 The gains enter A_E only as the two tip rates on its diagonal, and dgehrd
 never reads entry (0, 0), so the p-tip rate is not mixed into the
 reflectors and the form at (xi1, xi2) is the form at (xi1, 0) with
@@ -34,10 +35,11 @@ show the error above, which is of the same relative size.
 LAPACK is called through the C-API capsules that scipy.linalg.cython_lapack
 exports (`_lapack`).  A ctypes call releases the GIL for the whole routine,
 which numpy's and scipy's own wrappers hold, so the eigensolves of a sweep
-run in parallel on its thread pool.  `spectrum`, `sweep` and
-`spectral_abscissa` reduce with scipy's OpenBLAS held to one thread
-(`orfd._one_blas_thread`), so their eigenvalues are the same at every BLAS
-thread count; the QR iteration uses no threaded BLAS.
+run in parallel on its thread pool.  The routines that can run threaded
+BLAS, dgehrd in `_hessenberg` and dhsein and dormhr in `_right_eigenvectors`,
+run with scipy's OpenBLAS held to one thread (`orfd._one_blas_thread`), so
+every result here is the same at every BLAS thread count; the QR iteration
+uses no threaded BLAS.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from scipy.linalg import cython_lapack
 
 from .errors import DomainError
 from .materials import MaterialParams
-from .orfd import OrfdSystem, _one_blas_thread, build_system
+from .orfd import OrfdSystem, _from_tip_first, _one_blas_thread, _tip_first, build_system
 from .simulate import generator_radius_estimate
 
 RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to max(||G||_2, ||D||_2)
@@ -107,13 +109,13 @@ class SpectrumResult:
     """Full spectrum at one amplifier pair with a residual certificate.
 
     eigenvalues are sorted by decreasing real part and max_real is the
-    first one's, both exactly as `_eigvals` returns them.  residual_max is the
-    largest |A_E x - mu x| / (|x| r) over the N_CERTIFY dominant
-    eigenvalues mu (conjugates once), each x found by inverse iteration on
-    the Hessenberg form of A_E, with r = `generator_radius_estimate`, the
-    closed-form lower bound max(||G||_2, ||D||_2) on ||A_E||_2.  certified
-    is False when that exceeds RESIDUAL_RTOL or an inverse iteration did
-    not converge.
+    first one's, both exactly as `_hessenberg_eigvals` returns them.
+    residual_max is the largest |A_E x - mu x| / (|x| r) over the
+    N_CERTIFY dominant eigenvalues mu (conjugates once), each x found by
+    inverse iteration on the Hessenberg form of A_E, with
+    r = `generator_radius_estimate`, the closed-form lower bound
+    max(||G||_2, ||D||_2) on ||A_E||_2.  certified is False when that
+    exceeds RESIDUAL_RTOL or an inverse iteration did not converge.
     """
 
     eigenvalues: np.ndarray
@@ -136,20 +138,18 @@ class SpectrumGrid:
     failures: list = field(default_factory=list)
 
 
-def _hessenberg(hq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hq = Q H Q^T by dgehrd over the whole matrix (ilo = 1, ihi = n), in place.
-
-    hq is a square float64 array in Fortran order, which dgehrd overwrites
-    with H on and above the subdiagonal and the reflectors of Q below it.
-    Returns hq and the reflectors' scalars tau.  Non-finite input raises
-    np.linalg.LinAlgError.
+def _hessenberg(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hq, tau) with Q H Q^T = `_tip_first(A)`, by dgehrd (ilo = 1, ihi = n)
+    with scipy's OpenBLAS held to one thread.  hq is that copy in Fortran
+    order, with H on and above the subdiagonal and the reflectors of Q below
+    it, and tau the reflectors' scalars.  Balancing (dgebal) would leave
+    A_E unchanged: A_E^T = J A_E J with J = diag(I, -I) gives every row the
+    norm of its column, and no row is zero off the diagonal
+    (tests/test_orfd.py).  Non-finite input raises np.linalg.LinAlgError.
     """
-    if hq.ndim != 2 or hq.shape[0] != hq.shape[1]:
-        raise np.linalg.LinAlgError(f"expected a square matrix, got shape {hq.shape}")
-    if hq.dtype != np.float64 or not hq.flags.f_contiguous:
-        raise TypeError("dgehrd needs a float64 array in Fortran order")
-    if not np.isfinite(hq).all():
+    if not np.isfinite(A).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    hq = _tip_first(A)
     n = hq.shape[0]
     tau = np.empty(max(n - 1, 1))
     info = ctypes.c_int(0)
@@ -159,7 +159,8 @@ def _hessenberg(hq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if info.value:
             raise np.linalg.LinAlgError(f"dgehrd rejected argument {-info.value}")
 
-    _with_workspace(call)
+    with _one_blas_thread():
+        _with_workspace(call)
     return hq, tau
 
 
@@ -168,8 +169,11 @@ def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
     order), in LAPACK order: conjugate pairs adjacent, Im > 0 first.
 
     dlahqr, the double-shift QR iteration, without the Schur form and
-    without Schur vectors.  It overwrites h, entries below the subdiagonal
-    included.  A failed iteration raises np.linalg.LinAlgError.
+    without Schur vectors.  After `_hessenberg` this is dgeev's path without
+    its balancing, and with dlahqr in place of the multishift QR (dlaqr0)
+    that dhseqr picks for n > 75, which is slower below n ~900.  It
+    overwrites h, entries below the subdiagonal included.  A failed
+    iteration raises np.linalg.LinAlgError.
     """
     n = h.shape[0]
     wr, wi = np.empty(n), np.empty(n)
@@ -185,47 +189,20 @@ def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _eigvals(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the real square matrix A, in LAPACK order.
-
-    `_hessenberg`, then `_hessenberg_eigvals`: dgeev's path without its
-    balancing, and with dlahqr in place of the multishift QR (dlaqr0) that
-    dhseqr picks for n > 75, which is slower below n ~900.  Balancing
-    (dgebal) would leave A_E unchanged: A_E^T = J A_E J with J = diag(I, -I)
-    gives every row the norm of its column, and no row is zero off the
-    diagonal (tests/test_orfd.py).  Non-finite input and a failed QR
-    iteration raise np.linalg.LinAlgError.
-    """
-    h, _ = _hessenberg(np.array(A, dtype=float, order="F"))
-    return _hessenberg_eigvals(h)
-
-
-def _tip_first(A: np.ndarray) -> np.ndarray:
-    """A fresh Fortran-order copy of the generator A with its last index,
-    p_dot(L) (`OrfdSystem.tip_index`), cycled to the front.
-
-    dgehrd never reads entry (0, 0): its first reflector acts on rows and
-    columns 1..n-1 only.  So the Hessenberg form of the copy holds the
-    p-tip rate -d_2 in H[0, 0], unmixed with the rest, and the form at
-    (xi1, xi2) is the form at (xi1, 0) with H[0, 0] = -d_2.
-    """
-    P = np.empty(A.shape, order="F")
-    P[0, 0], P[0, 1:], P[1:, 0], P[1:, 1:] = A[-1, -1], A[-1, :-1], A[:-1, -1], A[:-1, :-1]
-    return P
-
-
 def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
                         select: np.ndarray) -> tuple[np.ndarray, bool]:
     """Right eigenvectors of A at the eigenvalues lam[select], by inverse
-    iteration on the Hessenberg form A = Q H Q^T.
+    iteration on the Hessenberg form Q H Q^T of its tip-first copy.
 
     hq and tau are `_hessenberg(A)`.  lam holds all eigenvalues in LAPACK
     order (conjugate pairs adjacent, Im > 0 first), and select marks one
     member of each wanted pair.  dhsein runs inverse iteration on H, O(n^2)
     per eigenvalue, from seeded random start vectors, so the vectors owe
     nothing to the eigensolver that produced lam.  dormhr applies Q to the
-    computed columns only.  Returns the vectors as complex columns in the
-    order of lam[select], and whether dhsein reports all converged.
+    computed columns only.  Both run with scipy's OpenBLAS held to one
+    thread.  Returns the vectors, rolled back to the order of A, as complex
+    columns in the order of lam[select], and whether dhsein reports all
+    converged.
     """
     n = lam.size
     # dhsein's columns: one per real eigenvalue, Re and Im for each pair
@@ -235,51 +212,49 @@ def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
     V = np.asfortranarray(np.random.default_rng(987654321).standard_normal((n, cols)))
     ifail = np.zeros(cols, dtype=np.int32)
     info = ctypes.c_int(0)
-    # INITV = 'U': the start vectors are V's columns.  dhsein may perturb
-    # close eigenvalues in its copies of wr and wi.
-    _dhsein(b"R", b"N", b"U", select.astype(np.int32), n, hq, n,
-            lam.real.copy(), lam.imag.copy(), np.empty(1), 1, V, n,
-            cols, ctypes.c_int(0), np.empty((n + 2) * n), np.empty(1, dtype=np.int32),
-            ifail, info)
-    if info.value < 0:
-        raise np.linalg.LinAlgError(f"dhsein rejected argument {-info.value}")
-    converged = info.value == 0 and not ifail.any()
 
     def apply_q(work: np.ndarray, lwork: int) -> None:
         _dormhr(b"L", b"N", n, cols, 1, n, hq, n, tau, V, n, work, lwork, info)
         if info.value:
             raise np.linalg.LinAlgError(f"dormhr rejected argument {-info.value}")
 
-    _with_workspace(apply_q)
+    with _one_blas_thread():
+        # INITV = 'U': the start vectors are V's columns.  dhsein may perturb
+        # close eigenvalues in its copies of wr and wi.
+        _dhsein(b"R", b"N", b"U", select.astype(np.int32), n, hq, n,
+                lam.real.copy(), lam.imag.copy(), np.empty(1), 1, V, n,
+                cols, ctypes.c_int(0), np.empty((n + 2) * n), np.empty(1, dtype=np.int32),
+                ifail, info)
+        if info.value < 0:
+            raise np.linalg.LinAlgError(f"dhsein rejected argument {-info.value}")
+        converged = info.value == 0 and not ifail.any()
+        _with_workspace(apply_q)
+    V = _from_tip_first(V)
     X = V[:, start].astype(complex)
     X.imag[:, pair] = V[:, start[pair] + 1]
     return X, converged
 
 
-@_one_blas_thread()
 def spectrum(sys: OrfdSystem) -> SpectrumResult:
     """All generator eigenvalues, with the dominant pairs certified.
 
-    The eigensolve runs on the tip-first Hessenberg form (`_tip_first`), the
+    The eigensolve runs on the tip-first Hessenberg form (`_hessenberg`), the
     one `spectral_abscissa` and `sweep` use, so max_real equals theirs bit
     for bit.  The N_CERTIFY eigenvalues mu of largest real part (conjugates
     counted once) each get a vector x by inverse iteration on that form
     (`_right_eigenvectors`), and residual_max is the largest
     |A_E x - mu x| / (|x| r), where r = `generator_radius_estimate`
     <= ||A_E||_2.  A vector that dhsein reports unconverged leaves the
-    result uncertified rather than raising.  It runs under the process-wide
-    `orfd._one_blas_thread` hold, so concurrent calls, and a `sweep` in
-    another thread, take turns.
+    result uncertified rather than raising.
     """
     A = sys.A_E
-    hq, tau = _hessenberg(_tip_first(A))
+    hq, tau = _hessenberg(A)
     lam = _hessenberg_eigvals(hq.copy(order="F"))  # dlahqr overwrites its input
     order = np.argsort(-lam.real, kind="stable")
     # the Im > 0 member of a pair comes first in LAPACK order
     select = np.zeros(lam.size, dtype=bool)
     select[order[lam.imag[order] >= 0.0][:N_CERTIFY]] = True
     X, converged = _right_eigenvectors(hq, tau, lam, select)
-    X = np.roll(X, -1, axis=0)  # back from tip-first order to the order of z
     AX = A @ X.real + 1j * (A @ X.imag)  # A @ X would make a complex copy of A
     residuals = (np.linalg.norm(AX - X * lam[select], axis=0)
                  / (np.linalg.norm(X, axis=0) * generator_radius_estimate(sys)))
@@ -293,18 +268,14 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
 def spectral_abscissa(sys: OrfdSystem, row_form: np.ndarray | None = None) -> float:
     """Largest real part over the eigenvalues of the energy-form generator.
 
-    Without row_form it reduces the tip-first copy of A_E (`_tip_first`)
-    under the `orfd._one_blas_thread` hold, so the result is the same at
-    every BLAS thread count.  row_form is that reduction's Hessenberg part
-    for any system with the same N and xi1, as `sweep` shares it along a
-    row; the call then copies it, writes -tip_rates[1] into H[0, 0], and
-    runs only the QR iteration, which takes no hold: `sweep`'s pool threads
-    call it inside the sweep's.  A row_form of another mesh size raises
-    DomainError.
+    Without row_form it reduces the tip-first copy of A_E (`_hessenberg`).
+    row_form is that reduction's Hessenberg part for any system with the
+    same N and xi1, as `sweep` shares it along a row; the call then copies
+    it, writes -tip_rates[1] into H[0, 0], and runs only the QR iteration.
+    A row_form of another mesh size raises DomainError.
     """
     if row_form is None:
-        with _one_blas_thread():
-            h, _ = _hessenberg(_tip_first(sys.A_E))
+        h, _ = _hessenberg(sys.A_E)
     else:
         n = 4 * sys.n_nodes
         if np.shape(row_form) != (n, n):
@@ -319,18 +290,16 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
     """Spectral abscissa over the (xi1, xi2) grid.
 
     The gains enter A_E only as its two tip rates, and the tip-first
-    Hessenberg form depends on xi2 only through H[0, 0] (`_tip_first`).  So
-    each row reduces the generator at (xi1, 0) once, and each cell builds
-    its system (`build_system`, which checks the gains) and calls
-    `spectral_abscissa` with that row form: one QR iteration per cell, bit
-    for bit the abscissa the cell's own reduction gives.  Rows run on a
-    pool of `threads` threads, one per CPU by default, in parallel because
-    the LAPACK calls release the GIL; each thread holds one row form at a
-    time.  While the pool runs, scipy's OpenBLAS is held to one thread
-    (`orfd._one_blas_thread`), so the rows do not oversubscribe the cores
-    and each reduction is the same at every BLAS thread count.  More pool
-    threads than cores gain nothing.  Cells are written back by index, so
-    the result is the same at every pool size.  A failing cell, or a row
+    Hessenberg form depends on xi2 only through H[0, 0]
+    (`orfd._tip_first`).  So each row reduces the generator at (xi1, 0)
+    once, and each cell builds its system (`build_system`, which checks the
+    gains) and calls `spectral_abscissa` with that row form: one QR
+    iteration per cell, bit for bit the abscissa the cell's own reduction
+    gives.  Rows run on a pool of `threads` threads, one per CPU by
+    default, in parallel because the LAPACK calls release the GIL; each
+    thread holds one row form at a time.  More pool threads than cores gain
+    nothing.  Cells are written back by index, so the result is the same at
+    every pool size.  A failing cell, or a row
     whose reduction fails, is recorded and left as NaN instead of killing
     the sweep.  A bad mesh size, or a mesh too large for MEMORY_BYTES (see
     `orfd`), fails the whole sweep with DomainError before any row runs.
@@ -352,7 +321,7 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
         """Row i's abscissas; a cell that failed holds its exception."""
         xi1 = xi1_values[i]
         try:
-            form, _ = _hessenberg(_tip_first(build_system(params, N, xi1, 0.0).A_E))
+            form, _ = _hessenberg(build_system(params, N, xi1, 0.0).A_E)
         except Exception as exc:  # noqa: BLE001 - every cell of the row fails with it
             return [exc] * xi2_values.size
         cells = []
@@ -363,7 +332,7 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
                 cells.append(exc)
         return cells
 
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
+    with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
         rows = list(pool.map(row, range(xi1_values.size)))
     for i, cells in enumerate(rows):
         for j, got in enumerate(cells):

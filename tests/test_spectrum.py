@@ -8,13 +8,12 @@ import pytest
 
 from piezobeam import orfd, spectral
 from piezobeam.errors import DomainError
-from piezobeam.orfd import build_system
+from piezobeam.orfd import _tip_first, build_system
 from piezobeam.simulate import generator_radius_estimate
 from piezobeam.spectral import (
     RESIDUAL_RTOL,
-    _eigvals,
     _hessenberg,
-    _tip_first,
+    _hessenberg_eigvals,
     spectral_abscissa,
     spectrum,
     sweep,
@@ -110,7 +109,7 @@ def test_frozen_abscissas_do_not_depend_on_blas_threads():
         f"keys = {sorted(FROZEN_ABSCISSA) + [(80, 8.8e5, 6.8e11)]!r}\n"
         "print(json.dumps([spectral_abscissa(build_system(TABLE1, *k)) for k in keys]))\n"
     )
-    # without spectral_abscissa's BLAS hold the blocked reduction's gemm
+    # without the BLAS hold in _hessenberg the blocked reduction's gemm
     # updates move the stiff key from -1.4691162289447974 at one OpenBLAS
     # thread to -1.4691160777055545 at two
     one, two = run_under_blas_threads(code)
@@ -120,7 +119,7 @@ def test_frozen_abscissas_do_not_depend_on_blas_threads():
 def test_spectrum_does_not_depend_on_blas_threads():
     # at this stiff pair, N=80, the blocked Hessenberg reduction's gemm
     # updates move the eigenvalues with the OpenBLAS thread count unless
-    # spectrum holds BLAS to one thread
+    # the reduction holds BLAS to one thread
     code = (
         "import json\n"
         "from piezobeam import TABLE1\n"
@@ -216,14 +215,10 @@ def test_radius_estimate_brackets_the_generator_norm(table1, N, gains):
 
 @pytest.mark.parametrize("N", [16, 80])
 def test_spectrum_reports_the_eigensolve_bit_for_bit(table1, N):
-    # spectrum and spectral_abscissa eigensolve the tip-first copy of A_E and
-    # hold BLAS to one thread, so the reference eigensolve does too; the
-    # hold is re-entrant, so they can take it again inside
     sys = build_system(table1, N, 1e6, 1e9)
-    with orfd._one_blas_thread():
-        lam = _eigvals(_tip_first(sys.A_E))
-        abscissa = spectral_abscissa(sys)
-        res = spectrum(sys)
+    lam = _hessenberg_eigvals(_hessenberg(sys.A_E)[0])
+    abscissa = spectral_abscissa(sys)
+    res = spectrum(sys)
     np.testing.assert_array_equal(res.eigenvalues,
                                   lam[np.argsort(-lam.real, kind="stable")])
     assert res.max_real == abscissa
@@ -249,7 +244,7 @@ def test_abscissa_matches_full_spectrum(toy):
                                    (1e-8, 1e-8), (1e12, 1e12), (1e-8, 1e12)])
 def test_eigvals_agrees_with_numpy(request, material, N, gains):
     A = build_system(request.getfixturevalue(material), N, *gains).A_E
-    got, want = _eigvals(A), np.linalg.eigvals(A)
+    got, want = _hessenberg_eigvals(_hessenberg(A)[0]), np.linalg.eigvals(_tip_first(A))
     assert got.shape == want.shape
     # every eigenvalue of each set has its counterpart in the other, to
     # 1e-12 relative, although numpy balances and this path does not
@@ -290,9 +285,8 @@ def test_tip_first_form_depends_on_xi2_only_in_its_corner(table1, N):
     # with H[0, 0] = -tip_rates[1].  At N=80, 4(N+1) = 324 takes dgehrd's
     # blocked path.
     stiff = build_system(table1, N, 8.8e5, 6.8e11)
-    with orfd._one_blas_thread():
-        hq, tau = _hessenberg(_tip_first(stiff.A_E))
-        hq0, tau0 = _hessenberg(_tip_first(build_system(table1, N, 8.8e5, 0.0).A_E))
+    hq, tau = _hessenberg(stiff.A_E)
+    hq0, tau0 = _hessenberg(build_system(table1, N, 8.8e5, 0.0).A_E)
     np.testing.assert_array_equal(tau, tau0)
     assert hq[0, 0] == -stiff.tip_rates[1]
     hq[0, 0] = hq0[0, 0]
@@ -314,16 +308,9 @@ def test_sweep_reduces_once_per_row(toy, monkeypatch):
 
 
 def test_spectral_abscissa_rejects_a_row_form_of_another_mesh(toy):
-    form, _ = _hessenberg(_tip_first(build_system(toy, 6, 0.5, 0.0).A_E))
+    form, _ = _hessenberg(build_system(toy, 6, 0.5, 0.0).A_E)
     with pytest.raises(DomainError, match=r"row_form has shape \(28, 28\), expected \(36, 36\)"):
         spectral_abscissa(build_system(toy, 8, 0.5, 0.7), form)
-
-
-@pytest.mark.parametrize("A", [np.eye(4), np.eye(4, dtype=np.float32, order="F")])
-def test_hessenberg_refuses_an_array_dgehrd_would_misread(A):
-    # dgehrd reads a C-order array as its transpose and float32 as garbage
-    with pytest.raises(TypeError, match="float64 array in Fortran order"):
-        _hessenberg(A)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -331,7 +318,7 @@ def test_eigvals_rejects_non_finite_input(bad):
     A = np.eye(4)
     A[1, 2] = bad
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-        _eigvals(A)
+        _hessenberg_eigvals(_hessenberg(A)[0])
 
 
 def test_eigvals_releases_the_gil():
@@ -359,7 +346,7 @@ def test_eigvals_releases_the_gil():
         return count[0] / elapsed
 
     solo = counter_rate(lambda: time.sleep(0.2))
-    during = counter_rate(lambda: _eigvals(A))
+    during = counter_rate(lambda: _hessenberg_eigvals(_hessenberg(A)[0]))
     assert during >= 0.25 * solo
 
 
@@ -395,8 +382,8 @@ def test_sweep_pins_blas_to_one_thread_and_restores_it():
     # a stiff N=40 grid whose eigenvalues move with the OpenBLAS thread
     # count, through the blocked gemm updates of the Hessenberg reduction.
     # Three sweeps run at once, in threads that share the process-wide
-    # count; each holds BLAS at one thread, so every grid of both runs
-    # agrees bit for bit, and the count is restored afterwards.
+    # count; each reduction holds BLAS at one thread, so every grid of both
+    # runs agrees bit for bit, and the count is restored afterwards.
     code = (
         "import json, threading\n"
         "import numpy as np\n"

@@ -42,30 +42,20 @@ at the tip rates v_dot(L), p_dot(L) (`tip_rates`, `tip_index`).
 bidiagonal stencil E is lower triangular with entries +-1.  D >= 0, so
 A_E + A_E^T <= 0 holds by construction and the eigenvectors are well
 conditioned (condition ~2).  Every eigenvalue analysis and the modal
-propagation run on A_E; the midpoint stepper works on the second-order form
-above.  M and A_h are held as stencils and B as its entry 1/h; their
-Cholesky factors L_m and L_Ah are bidiagonal, in closed form, and map nodal
-states [y; u] to z and back with L_C2 (to_energy_coords, from_energy_coords).
+propagation run on A_E, in the layout `_tip_first` makes; the midpoint
+stepper works on the second-order form above.  M and A_h are held as
+stencils and B as its entry 1/h; their Cholesky factors L_m and L_Ah are
+bidiagonal, in closed form, and map nodal states [y; u] to z and back with
+L_C2 (to_energy_coords, from_energy_coords).
 Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check.
-Every eigensolve of A_E (`spectral`, `simulate.modal_trace`) runs on the
-copy `_tip_first` makes, with p_dot(L) first so that the reduction does not
-mix its rate into the other entries; `_from_tip_first` rolls the vectors
-back.  Their calls that can thread BLAS take `_one_blas_thread`, so their
-results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import os
-import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
-import scipy
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import DomainError
@@ -80,48 +70,6 @@ def _check_memory(need: float, what: str, fewer: str) -> None:
         raise DomainError(
             f"{what} needs about {need / 2**20:.0f} MiB, over the "
             f"{MEMORY_BYTES / 2**20:.0f} MiB budget; request fewer {fewer}")
-
-
-@cache
-def _scipy_openblas() -> ctypes.CDLL | None:
-    """scipy's bundled OpenBLAS, the library scipy's LAPACK runs on, if it is
-    loaded and exports its thread-count functions; otherwise None."""
-    if not hasattr(os, "RTLD_NOLOAD"):
-        return None
-    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob(
-            "libscipy_openblas*.so")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)  # only if already loaded
-            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return lib
-    return None
-
-
-# The thread count is process-wide, so holders in concurrent threads take
-# turns instead of restoring each other's count.
-_BLAS_PIN = threading.RLock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with scipy's OpenBLAS on one thread, then restore its
-    thread count.  Without the library (see `_scipy_openblas`) nothing
-    changes."""
-    lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    with _BLAS_PIN:
-        old = lib.scipy_openblas_get_num_threads()
-        lib.scipy_openblas_set_num_threads(1)
-        try:
-            yield
-        finally:
-            lib.scipy_openblas_set_num_threads(old)
 
 
 @dataclass(eq=False)

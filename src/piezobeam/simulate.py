@@ -45,8 +45,8 @@ from scipy.linalg.blas import daxpy, ddot, dgemm, dsbmv
 from scipy.linalg.lapack import dgesv, dpbtrf, dpbtrs
 
 from .errors import DomainError
-from .orfd import (OrfdSystem, _check_memory, _from_tip_first, _one_blas_thread, _tip_first,
-                   check_state)
+from ._lapack import one_blas_thread
+from .orfd import OrfdSystem, _check_memory, _from_tip_first, _tip_first, check_state
 
 # Ratio of E_h(0) used as the positivity floor when fitting log-energy, and
 # the largest rise between samples a modal trace may show without a warning.
@@ -168,12 +168,13 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
               dt: float, keep_states: bool = False) -> IntegrationResult:
     """Implicit midpoint run over [0, T], sampling every step.
 
-    Emits a warning when dt leaves the fastest generator mode unresolved
-    (dt * radius > 0.2); the scheme stays stable but the unresolved branch
-    keeps its energy.  A non-finite initial state is a DomainError; a
-    state that turns non-finite aborts the run with its step index.  Runs
-    whose arrays would exceed orfd.MEMORY_BYTES are refused before anything
-    is allocated.
+    T must be a whole number of steps dt, to 1e-9 relative; another span is
+    a DomainError that names the two nearest.  Emits a warning when dt
+    leaves the fastest generator mode unresolved (dt * radius > 0.2); the
+    scheme stays stable but the unresolved branch keeps its energy.  A
+    non-finite initial state is a DomainError; a state that turns
+    non-finite aborts the run with its step index.  Runs whose arrays would
+    exceed orfd.MEMORY_BYTES are refused before anything is allocated.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"T must be positive, got {T!r}")
@@ -182,6 +183,10 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     steps = round(T / dt, 0)
     if steps < 1:
         raise DomainError(f"T={T!r} is shorter than one step dt={dt!r}")
+    if abs(steps * dt - T) > 1e-9 * T:
+        below = max(math.floor(T / dt), 1)
+        raise DomainError(f"T={T!r} is not a whole number of steps dt={dt!r}; "
+                          f"the nearest spans are {below * dt:.12g} and {(below + 1) * dt:.12g}")
     n = sys.N + 1
     # ~48n doubles of bands, then 4 per sample and 4n more with keep_states
     _check_memory(8 * (48 * n + (4 + 4 * n * bool(keep_states)) * (steps + 1)),
@@ -270,7 +275,7 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     K = math.isqrt(samples - 1) + 1
     z = np.empty((samples, 4 * n))
 
-    with _one_blas_thread():
+    with one_blas_thread():
         lam, V = scipy.linalg.eig(_tip_first(sys.A_E), overwrite_a=True)
         # A_E is real, so its eigenpairs are closed under conjugation: keep
         # Im >= 0 and let each strictly complex pair contribute 2 Re(c v e^(lam t)).

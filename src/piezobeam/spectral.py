@@ -5,22 +5,22 @@ semi-discrete system actually delivers; sweeping it over the amplifier plane
 maps where the certified design intervals sit relative to the truly optimal
 gains.  Every eigensolve runs on A_E, the generator in energy coordinates
 (see `piezobeam.orfd`), with dense LAPACK routines (the generator is small;
-sparse iteration buys nothing here): one Hessenberg reduction (dgehrd) and
-the double-shift QR iteration (dlahqr).  The reduction runs on a copy of
-A_E with p_dot(L), its last coordinate, moved to the front
-(`orfd._tip_first`), the copy `simulate.modal_trace` eigendecomposes too.
-The gains enter A_E only as the two tip rates on its diagonal, and dgehrd
-never reads entry (0, 0), so the p-tip rate is not mixed into the
-reflectors and the form at (xi1, xi2) is the form at (xi1, 0) with
-H[0, 0] = -d_2: `sweep` reduces once per xi1 row.  At the reference pairs
-the abscissa agrees with 40-digit oracles (tests/oracle_frozen_abscissa.py
-and bench/oracle.py) to between 9.1e-12 and 4.2e-7 relative.  The dense
-eigenvalues still carry an absolute error ~eps ||A_E||_2 from the entries
-the reduction mixes; at stiff gains the p-tip rate sets ||A_E||_2 (~1e22
-at (8.8e5, 6.8e11)) but stays out of them, and the abscissa there reads
-between -1.4691162 and -1.4691157 at N = 8 to 80, against the oracle's
--1.46911574973 at N=8 (with p_dot(L) reduced last it read +45 to +653).
-A large xi1 tip rate is still mixed in (ROADMAP item 2).
+sparse iteration buys nothing here) called natively (`piezobeam._lapack`):
+one Hessenberg reduction (dgehrd) and the double-shift QR iteration
+(dlahqr).  The reduction runs on a copy of A_E with p_dot(L), its last
+coordinate, moved to the front (`orfd._tip_first`).  The gains enter A_E
+only as the two tip rates on its diagonal, and dgehrd never reads entry
+(0, 0), so the p-tip rate is not mixed into the reflectors and the form at
+(xi1, xi2) is the form at (xi1, 0) with H[0, 0] = -d_2 (`_form_eigvals`):
+`sweep` reduces once per xi1 row.  The abscissa agrees with 40-digit
+oracles (tests/oracle_frozen_abscissa.py and bench/oracle.py) to 5.4e-9 to
+1.2e-8 relative at the three frozen keys and 1.1e-9 at N=24, (1e6, 1e9).
+The dense eigenvalues still carry an absolute error ~eps ||A_E||_2 from the
+entries the reduction mixes; at stiff gains the p-tip rate sets ||A_E||_2
+(~1e22 at (8.8e5, 6.8e11)) but stays out of them, and the abscissa there is
+4.6e-9 relative from the oracle at N=8 and reads between -1.4691162 and
+-1.4691157 at N = 8 to 80.  A large xi1 tip rate is still mixed in: at
+N=8, (1e12, 1e12) the error is 3.6e-5 (ROADMAP item 2).
 
 `spectrum` certifies its dominant eigenvalues: each gets an eigenvector by
 inverse iteration on the same Hessenberg form (LAPACK dhsein, from seeded
@@ -31,15 +31,6 @@ A_E = [[0, G^T], [-G, -D]], so r <= ||A_E||_2 <= 2r, and the residual is at
 least the one relative to ||A_E||_2.  The certificate shows that each mu is
 an eigenvalue of a matrix within that relative distance of A_E; it cannot
 show the error above, which is of the same relative size.
-
-LAPACK is called through the C-API capsules that scipy.linalg.cython_lapack
-exports (`_lapack`).  A ctypes call releases the GIL for the whole routine,
-which numpy's and scipy's own wrappers hold, so the eigensolves of a sweep
-run in parallel on its thread pool.  The routines that can run threaded
-BLAS, dgehrd in `_hessenberg` and dhsein and dormhr in `_right_eigenvectors`,
-run with scipy's OpenBLAS held to one thread (`orfd._one_blas_thread`), so
-every result here is the same at every BLAS thread count; the QR iteration
-uses no threaded BLAS.
 """
 
 from __future__ import annotations
@@ -51,57 +42,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
+from ._lapack import one_blas_thread, routine, with_workspace
 from .errors import DomainError
 from .materials import MaterialParams
-from .orfd import OrfdSystem, _from_tip_first, _one_blas_thread, _tip_first, build_system
+from .orfd import OrfdSystem, _from_tip_first, _tip_first, build_system
 from .simulate import generator_radius_estimate
 
 RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to max(||G||_2, ||D||_2)
 N_CERTIFY = 10  # dominant eigenvalues certified per spectrum, conjugates once
 
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _lapack(name: str):
-    """LAPACK routine `name` of scipy.linalg.cython_lapack, called through ctypes.
-
-    Fortran takes every argument by reference.  Arrays pass their data
-    pointer, bytes and ints are passed as a one-element char or int, and
-    ctypes objects (outputs such as INFO) as themselves.  The capsule's name
-    is the C signature, which gives the argument count.  A CFUNCTYPE call
-    releases the GIL.
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    signature = _capsule_name(capsule)
-    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(b",") + 1))(
-        _capsule_pointer(capsule, signature))
-
-    def call(*args) -> None:
-        refs = [ctypes.c_char(a) if isinstance(a, bytes)
-                else ctypes.c_int(a) if isinstance(a, int) else a for a in args]
-        routine(*[r.ctypes.data if isinstance(r, np.ndarray) else ctypes.addressof(r)
-                  for r in refs])
-
-    return call
-
-
-_dgehrd = _lapack("dgehrd")
-_dlahqr = _lapack("dlahqr")
-_dhsein = _lapack("dhsein")
-_dormhr = _lapack("dormhr")
-
-
-def _with_workspace(call) -> None:
-    """Run call(work, lwork) the LAPACK way: a query with lwork = -1, which
-    leaves the optimal size in work[0], then the call with that workspace."""
-    query = np.empty(1)
-    call(query, -1)
-    call(np.empty(int(query[0])), int(query[0]))
+_dgehrd = routine("dgehrd")
+_dlahqr = routine("dlahqr")
+_dhsein = routine("dhsein")
+_dormhr = routine("dormhr")
 
 
 @dataclass(frozen=True)
@@ -159,8 +113,8 @@ def _hessenberg(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if info.value:
             raise np.linalg.LinAlgError(f"dgehrd rejected argument {-info.value}")
 
-    with _one_blas_thread():
-        _with_workspace(call)
+    with one_blas_thread():
+        with_workspace(call)
     return hq, tau
 
 
@@ -187,6 +141,16 @@ def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
     lam = np.empty(n, dtype=complex)
     lam.real, lam.imag = wr, wi
     return lam
+
+
+def _form_eigvals(form: np.ndarray, sys: OrfdSystem) -> np.ndarray:
+    """Eigenvalues of sys.A_E from `form`, the Hessenberg part of
+    `_hessenberg` for any system with the same N and xi1: a Fortran-order
+    copy with -tip_rates[1] written into H[0, 0], through
+    `_hessenberg_eigvals`."""
+    h = np.array(form, dtype=float, order="F")
+    h[0, 0] = -sys.tip_rates[1]
+    return _hessenberg_eigvals(h)
 
 
 def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
@@ -218,7 +182,7 @@ def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
         if info.value:
             raise np.linalg.LinAlgError(f"dormhr rejected argument {-info.value}")
 
-    with _one_blas_thread():
+    with one_blas_thread():
         # INITV = 'U': the start vectors are V's columns.  dhsein may perturb
         # close eigenvalues in its copies of wr and wi.
         _dhsein(b"R", b"N", b"U", select.astype(np.int32), n, hq, n,
@@ -228,7 +192,7 @@ def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
         if info.value < 0:
             raise np.linalg.LinAlgError(f"dhsein rejected argument {-info.value}")
         converged = info.value == 0 and not ifail.any()
-        _with_workspace(apply_q)
+        with_workspace(apply_q)
     V = _from_tip_first(V)
     X = V[:, start].astype(complex)
     X.imag[:, pair] = V[:, start[pair] + 1]
@@ -249,7 +213,7 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
     """
     A = sys.A_E
     hq, tau = _hessenberg(A)
-    lam = _hessenberg_eigvals(hq.copy(order="F"))  # dlahqr overwrites its input
+    lam = _form_eigvals(hq, sys)
     order = np.argsort(-lam.real, kind="stable")
     # the Im > 0 member of a pair comes first in LAPACK order
     select = np.zeros(lam.size, dtype=bool)
@@ -270,19 +234,17 @@ def spectral_abscissa(sys: OrfdSystem, row_form: np.ndarray | None = None) -> fl
 
     Without row_form it reduces the tip-first copy of A_E (`_hessenberg`).
     row_form is that reduction's Hessenberg part for any system with the
-    same N and xi1, as `sweep` shares it along a row; the call then copies
-    it, writes -tip_rates[1] into H[0, 0], and runs only the QR iteration.
-    A row_form of another mesh size raises DomainError.
+    same N and xi1, as `sweep` shares it along a row; the call then runs
+    only the QR iteration (`_form_eigvals`).  A row_form of another mesh
+    size raises DomainError.
     """
     if row_form is None:
-        h, _ = _hessenberg(sys.A_E)
+        row_form, _ = _hessenberg(sys.A_E)
     else:
         n = 4 * sys.n_nodes
         if np.shape(row_form) != (n, n):
             raise DomainError(f"row_form has shape {np.shape(row_form)}, expected ({n}, {n})")
-        h = np.array(row_form, dtype=float, order="F")
-        h[0, 0] = -sys.tip_rates[1]
-    return float(_hessenberg_eigvals(h).real.max())
+    return float(_form_eigvals(row_form, sys).real.max())
 
 
 def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
@@ -298,11 +260,12 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
     gives.  Rows run on a pool of `threads` threads, one per CPU by
     default, in parallel because the LAPACK calls release the GIL; each
     thread holds one row form at a time.  More pool threads than cores gain
-    nothing.  Cells are written back by index, so the result is the same at
-    every pool size.  A failing cell, or a row
-    whose reduction fails, is recorded and left as NaN instead of killing
-    the sweep.  A bad mesh size, or a mesh too large for MEMORY_BYTES (see
-    `orfd`), fails the whole sweep with DomainError before any row runs.
+    nothing.  Each row writes its cells into the grid by index, and the
+    failures are sorted afterwards, so the result is the same at every pool
+    size.  A failing cell, or a row whose reduction fails, is recorded and
+    left as NaN instead of killing the sweep.  A bad mesh size, or a mesh
+    too large for MEMORY_BYTES (see `orfd`), fails the whole sweep with
+    DomainError before any row runs.
     """
     xi1_values = np.asarray(xi1_values, dtype=float)
     xi2_values = np.asarray(xi2_values, dtype=float)
@@ -317,29 +280,23 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
     # rejects a bad or oversized mesh before any row runs
     build_system(params, N, 0.0, 0.0).A_E
 
-    def row(i: int) -> list:
-        """Row i's abscissas; a cell that failed holds its exception."""
+    def row(i: int) -> None:
+        """Write row i's abscissas into grid and its failed cells into failures."""
         xi1 = xi1_values[i]
         try:
             form, _ = _hessenberg(build_system(params, N, xi1, 0.0).A_E)
         except Exception as exc:  # noqa: BLE001 - every cell of the row fails with it
-            return [exc] * xi2_values.size
-        cells = []
-        for xi2 in xi2_values:
+            failures.extend((i, j, str(exc)) for j in range(xi2_values.size))
+            return
+        for j, xi2 in enumerate(xi2_values):
             try:
-                cells.append(spectral_abscissa(build_system(params, N, xi1, xi2), form))
+                grid[i, j] = spectral_abscissa(build_system(params, N, xi1, xi2), form)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-                cells.append(exc)
-        return cells
+                failures.append((i, j, str(exc)))
 
     with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
-        rows = list(pool.map(row, range(xi1_values.size)))
-    for i, cells in enumerate(rows):
-        for j, got in enumerate(cells):
-            if isinstance(got, Exception):
-                failures.append((i, j, str(got)))
-            else:
-                grid[i, j] = got
+        list(pool.map(row, range(xi1_values.size)))
+    failures.sort()
 
     if failures:
         warnings.warn(f"{len(failures)} sweep cell(s) failed; grid holds NaN there",

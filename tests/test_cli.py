@@ -377,6 +377,16 @@ def test_gains_that_overflow_the_tip_rates_exit_one(tmp_path, capsys):
     assert not list(tmp_path.iterdir())  # no manifest, no output
 
 
+def test_midpoint_span_off_the_step_grid_exits_one(tmp_path, capsys):
+    # 1e-4 is 3.33 steps of 3e-5: no run whose last sample misses T
+    code, out, err = _run(capsys, "simulate", "--N", "8", "--T", "1e-4", "--dt", "3e-5",
+                          "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a whole number of steps" in err
+    assert not list(tmp_path.iterdir())  # no manifest, no output
+
+
 def test_failed_eigensolve_exits_one(tmp_path, capsys, monkeypatch):
     # dlahqr reporting INFO > 0 (an eigenvalue that did not converge) is one
     # error line and exit 1, not a traceback

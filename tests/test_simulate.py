@@ -274,6 +274,16 @@ def test_integrate_rejects_bad_spans(toy, T, dt):
         integrate(sys, sv, T, dt)
 
 
+@pytest.mark.parametrize("dt,spans", [(3e-5, "9e-05 and 0.00012"),
+                                      (6e-5, "6e-05 and 0.00012")])
+def test_integrate_rejects_a_span_that_is_not_a_whole_number_of_steps(toy, dt, spans):
+    # round(T/dt) steps would end the run at 9e-5 or 1.2e-4, not at T
+    sys = build_system(toy, 6, 0.5, 0.7)
+    sv = hat_initial_condition(toy, 6, 0.5)
+    with pytest.raises(DomainError, match=f"nearest spans are {spans}"):
+        integrate(sys, sv, 1e-4, dt)
+
+
 def test_integrate_rejects_bad_state_shape(toy):
     sys = build_system(toy, 6, 0.5, 0.7)
     with pytest.raises(DomainError):

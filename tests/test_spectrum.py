@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from piezobeam import orfd, spectral
+from piezobeam import _lapack, orfd, spectral
 from piezobeam.errors import DomainError
 from piezobeam.orfd import _tip_first, build_system
 from piezobeam.simulate import generator_radius_estimate
@@ -388,9 +388,9 @@ def test_sweep_pins_blas_to_one_thread_and_restores_it():
         "import json, threading\n"
         "import numpy as np\n"
         "from piezobeam import TABLE1\n"
-        "from piezobeam.orfd import _scipy_openblas\n"
+        "from piezobeam._lapack import scipy_openblas\n"
         "from piezobeam.spectral import sweep\n"
-        "lib = _scipy_openblas()\n"
+        "lib = scipy_openblas()\n"
         "before = lib.scipy_openblas_get_num_threads()\n"
         "axis = np.logspace(-8, 12, 5)\n"
         "grids = [None] * 3\n"
@@ -410,6 +410,21 @@ def test_sweep_pins_blas_to_one_thread_and_restores_it():
         assert run["before"] == run["after"] == int(threads)
         grids += run["grids"]
     assert all(grid == grids[0] for grid in grids)
+
+
+def test_without_a_bundled_openblas_the_hold_changes_nothing(table1, monkeypatch):
+    # a scipy built on another BLAS exports no scipy_openblas_* functions:
+    # the hold then only runs its body, and the spectrum is the same
+    held = spectrum(build_system(table1, 16, 1e6, 1e9))
+    monkeypatch.setattr(_lapack, "scipy_openblas", lambda: None)
+    ran = False
+    with _lapack.one_blas_thread():
+        ran = True
+    assert ran
+    free = spectrum(build_system(table1, 16, 1e6, 1e9))
+    np.testing.assert_array_equal(free.eigenvalues, held.eigenvalues)
+    assert (free.max_real, free.residual_max, free.certified) == (
+        held.max_real, held.residual_max, held.certified)
 
 
 def test_sweep_isolates_failing_cells(toy):

@@ -2,14 +2,16 @@
 
 Two propagators:
 
-* `integrate` -- implicit midpoint on the second-order form.  It runs in
-  the node-interleaved ordering [v_0, p_0, v_1, p_1, ...], where the
-  stiffness, mass and damping forms are kron(T, C) for the tridiagonal
-  mesh blocks T and the 2x2 coefficients C, so the SPD step matrix has
-  half-bandwidth 3.  The step matrix is factored once by a banded
-  Cholesky with no fill-in.  A step is one banded matvec with the stiffness
-  and mass bands stacked block-diagonally, which also gives the sample's
-  energy, one banded solve and three in-place vector updates.  The scheme
+* `integrate` -- implicit midpoint on the second-order form, run in the
+  beam's two characteristic channels: the congruence T with T^T C1 T = I
+  and T^T C2 T = diag(lam) (`_channel_transform`) splits the mass and
+  stiffness forms into two uncoupled tridiagonal chains, which the gains
+  couple only at the tip.  With channel 1 in reversed node order the two
+  tips are neighbours, so the SPD step matrix is one tridiagonal, factored
+  once (dpttrf).  A step is one tridiagonal product with the stiffness and
+  mass forms side by side, which also gives the sample's energy, one
+  tridiagonal solve (dpttrs) and three in-place vector updates; the tip
+  rates, states and final state go back to nodes after the run.  The scheme
   preserves the discrete energy at zero amplifiers to roundoff transport
   and keeps the trace monotone at positive amplifiers.  Midpoint is the
   right tool up to moderate stiffness, but it under-damps branches it
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import daxpy, ddot, dgemm, dsbmv
-from scipy.linalg.lapack import dgesv, dpbtrf, dpbtrs
+from scipy.linalg.blas import daxpy, ddot, dgemm
+from scipy.linalg.lapack import dgesv, dpttrf, dpttrs
 
 from .errors import DomainError
 from ._lapack import one_blas_thread
@@ -94,28 +96,67 @@ class IntegrationResult:
     states: np.ndarray | None = None  # (samples, 4(N+1)) when requested
 
 
-# Half-bandwidth of the node-interleaved second-order forms kron(T, C).
-_KD = 3
+def _channel_transform(sys: OrfdSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(T, lam) with T^T C1 T = I and T^T C2 T = diag(lam): the beam's two
+    characteristic channels.
+
+    T = diag(c) R for c = diag(C1)^-1/2 and the Jacobi rotation R that
+    diagonalises K = C2 o c c^T (Golub & Van Loan's sym.schur2).  Its
+    tangent t is the smaller root of t^2 + 2 zeta t - 1 = 0, so |t| <= 1 and
+    the angle is exact to rounding however far apart the two channels' wave
+    speeds are; an atan2 angle lands near pi/2 there and loses its cosine.
+    With K01 = 0 (gamma = 0) the channels are v and p themselves.
+    """
+    c = 1.0 / np.sqrt(np.diag(sys.C1))
+    K = sys.C2 * np.outer(c, c)
+    if K[0, 1] == 0.0:
+        return np.diag(c), np.diag(K).copy()
+    zeta = (K[1, 1] - K[0, 0]) / (2.0 * K[0, 1])
+    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    R = np.array([[cs, t * cs], [-t * cs, cs]])
+    return c[:, None] * R, np.array([K[0, 0] - t * K[0, 1], K[1, 1] + t * K[0, 1]])
 
 
-def _kron_band(d: np.ndarray, e: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Upper LAPACK band storage of kron(T, C), entry (2i+a, 2j+b) T_ij C_ab,
-    for T with diagonal d and off-diagonal e and a symmetric 2x2 C."""
-    ab = np.zeros((_KD + 1, 2 * d.size))
-    ab[3, 0::2], ab[3, 1::2], ab[2, 1::2] = d * C[0, 0], d * C[1, 1], d * C[0, 1]
-    ab[2, 2::2], ab[1, 2::2], ab[1, 3::2] = e * C[1, 0], e * C[0, 0], e * C[1, 1]
-    ab[0, 3::2] = e * C[0, 1]
-    return ab
+def _to_channels(T: np.ndarray, C1: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Channel coordinates T^-1 q = T^T C1 q of nodal blocks q = [v; p] on
+    the last axis: channel 0 by node, then channel 1 in reversed node order."""
+    Ti = T.T * np.diag(C1)
+    m = q.shape[-1] // 2
+    v, p = q[..., :m], q[..., m:]
+    return np.concatenate([Ti[0, 0] * v + Ti[0, 1] * p,
+                           (Ti[1, 0] * v + Ti[1, 1] * p)[..., ::-1]], axis=-1)
 
 
-def _midpoint_bands(sys: OrfdSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked [KA, KM] band and the Cholesky factor of S for midpoint
-    steps in second-order form, node-interleaved and banded.
+def _from_channels(T: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Nodal blocks [v; p] = T q of channel blocks q (`_to_channels`) on the
+    last axis.  Entry by entry, so a sub-block (the two tip entries, as a
+    one-node block) maps to the same bits as inside the whole."""
+    m = q.shape[-1] // 2
+    q0, q1 = q[..., :m], q[..., m:][..., ::-1]
+    out = np.empty(q.shape)
+    for a, block in enumerate((out[..., :m], out[..., m:])):
+        np.multiply(T[a, 0], q0, out=block)
+        block += T[a, 1] * q1
+    return out
 
-    In the ordering [v_0, p_0, v_1, p_1, ...] the forms are KM = M (x) C1
-    and KA = A_h (x) C2, each of half-bandwidth 3, and KB = B (x) diag(xi)
-    holds the tip gains xi/h on the last two diagonal entries.  With u = y'
-    the step is S u+ = R u - dt KA y, y+ = y + (dt/2) (u + u+), where
+
+def _channel_chain(stencil: tuple, w) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of kron(diag(w), T) in channel order, for T
+    the tridiagonal stencil (d, e): channel 1 reversed, so its tip follows
+    channel 0's, and a zero off-diagonal entry between the two tips."""
+    d, e = stencil
+    return np.r_[w[0] * d, w[1] * d[::-1]], np.r_[w[0] * e, 0.0, w[1] * e[::-1]]
+
+
+def _midpoint_tridiagonals(sys: OrfdSystem, T: np.ndarray, lam: np.ndarray,
+                           dt: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The stacked [KA, KM] product's diagonal and off-diagonal, and the
+    LDL^T factor of S, for midpoint steps in channel coordinates.
+
+    With KM = C1 (x) M, KA = C2 (x) A_h and KB = diag(xi) (x) B, where B
+    holds 1/h at the tip, and u = y', the step is S u+ = R u - dt KA y,
+    y+ = y + (dt/2) (u + u+), where
 
         S = KM + (dt^2/4) KA + (dt/2) KB,   R = KM - (dt^2/4) KA - (dt/2) KB.
 
@@ -125,28 +166,32 @@ def _midpoint_bands(sys: OrfdSystem, dt: float) -> tuple[np.ndarray, np.ndarray]
 
     which reuses the products KM u and KA y of the sample's energy
     (h/2)(y^T KA y + u^T KM u).  R itself is never formed: its entries are
-    dominated by (dt^2/4) KA and lose KM to rounding, which puts ~1e-10
-    of the energy norm into every step.
+    dominated by (dt^2/4) KA and lose KM to rounding.
 
-    The band stacks KA and KM block-diagonally, with order 4(N+1), so for
-    s = [y; u] the product r = 2 [KA y; KM u] is one dsbmv; s.r = 4 E / h
-    and r's second half minus (dt/2) times its first half is the
-    right-hand side.  S is SPD for nonnegative amplifiers and is factored
-    once by a banded Cholesky (dpbtrf) with no fill-in, so a step is one
-    dsbmv, one dpbtrs and three in-place vector updates.
+    In channel coordinates y = (T (x) I) eta (`_channel_transform`) the
+    forms become KM = I (x) M and KA = diag(lam) (x) A_h: two uncoupled
+    tridiagonal chains.  The gains couple them only through the tip block
+    T^T diag(xi) T / h, and channel 1 runs in reversed node order, so its
+    tip sits next to channel 0's and S is one SPD tridiagonal of order
+    2(N+1), factored once by dpttrf.  KA and KM side by side form one
+    tridiagonal of order 4(N+1) with zeros where the blocks join, so for
+    s = [eta; w] the product r = 2 [KA eta; KM w] is three vector products,
+    s.r = 4 E / h, and r's second half minus (dt/2) times its first half
+    is the right-hand side.
     """
-    KM = _kron_band(*sys.M_stencil, sys.C1)
-    KA = _kron_band(*sys.Ah_stencil, sys.C2)
-    S = KM + 0.25 * dt * dt * KA
-    # (dt/2) KB: B's one entry 1/h times the gains, on the tip node's v and p
-    S[_KD, -2:] += 0.5 * dt * (1.0 / sys.h * np.array([sys.xi1, sys.xi2]))
-    # the first k entries of the k-th superdiagonal are zero,
-    # so side by side the two bands couple nothing across the blocks
-    band = np.hstack([KA, KM])
-    cho, info = dpbtrf(S)
+    dM, eM = _channel_chain(sys.M_stencil, (1.0, 1.0))
+    dA, eA = _channel_chain(sys.Ah_stencil, lam)
+    n = sys.n_nodes
+    d, e = dM + 0.25 * dt * dt * dA, eM + 0.25 * dt * dt * eA
+    # (dt/2) KB: B's one entry 1/h times T^T diag(xi) T, on the two tips
+    tip = 0.5 * dt / sys.h * (T.T * np.array([sys.xi1, sys.xi2])) @ T
+    d[n - 1] += tip[0, 0]
+    d[n] += tip[1, 1]
+    e[n - 1] = tip[0, 1]
+    d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
     if info:
-        raise RuntimeError(f"midpoint step matrix is not SPD (dpbtrf info={info})")
-    return band, cho
+        raise RuntimeError(f"midpoint step matrix is not SPD (dpttrf info={info})")
+    return 2.0 * np.r_[dA, dM], 2.0 * np.r_[0.0, eA, 0.0, eM, 0.0], (d, e)
 
 
 def generator_radius_estimate(sys: OrfdSystem) -> float:
@@ -168,6 +213,12 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
               dt: float, keep_states: bool = False) -> IntegrationResult:
     """Implicit midpoint run over [0, T], sampling every step.
 
+    Steps in channel coordinates (`_midpoint_tridiagonals`): per step one
+    tridiagonal product, which gives the sample's energy, one tridiagonal
+    solve and three in-place updates.  The tip rates are recorded there
+    and, with keep_states, the states; both and the final state are mapped
+    back to nodes after the run by one entrywise map, so the tip rates are
+    bit for bit the tip columns of the states.
     T must be a whole number of steps dt, to 1e-9 relative; another span is
     a DomainError that names the two nearest.  Emits a warning when dt
     leaves the fastest generator mode unresolved (dt * radius > 0.2); the
@@ -188,8 +239,9 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
         raise DomainError(f"T={T!r} is not a whole number of steps dt={dt!r}; "
                           f"the nearest spans are {below * dt:.12g} and {(below + 1) * dt:.12g}")
     n = sys.N + 1
-    # ~48n doubles of bands, then 4 per sample and 4n more with keep_states
-    _check_memory(8 * (48 * n + (4 + 4 * n * bool(keep_states)) * (steps + 1)),
+    # ~30n doubles of tridiagonals and buffers, then 7 per sample, and 10n
+    # more with keep_states (channel states, nodal states and a product)
+    _check_memory(8 * (30 * n + (7 + 10 * n * bool(keep_states)) * (steps + 1)),
                   f"midpoint run at N={sys.N} with {steps:.0f} steps", "steps")
     n_steps = int(steps)
 
@@ -200,43 +252,54 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
             "damping of unresolved branches is understated",
             RuntimeWarning, stacklevel=2)
 
-    band, cho = _midpoint_bands(sys, dt)
-    # s = [y; u] node-interleaved ([v_0, p_0, v_1, ...]), a copy updated in place
-    s = check_state(sys, state0).reshape(2, 2, n).transpose(0, 2, 1).flatten()
+    T_ch, lam = _channel_transform(sys)
+    diag, off, (sd, se) = _midpoint_tridiagonals(sys, T_ch, lam, dt)
+    # s = [eta; w] in channel coordinates, updated in place between two
+    # zeros, so both shifted products read whole slices
+    padded = np.zeros(4 * n + 2)
+    s = padded[1:-1]
+    s[:] = _to_channels(T_ch, sys.C1, check_state(sys, state0).reshape(2, 2 * n)).ravel()
     sy, su = s[: 2 * n], s[2 * n:]
-    r = np.empty(4 * n)
+    # off holds the off-diagonal between two zeros: off[i] couples s_i-1 and s_i
+    upper, lower = off[1:], off[:-1]
+    r, tmp = np.empty(4 * n), np.empty(4 * n)
     rA, rM = r[: 2 * n], r[2 * n:]
     times = dt * np.arange(n_steps + 1)
     energies = np.empty(n_steps + 1)
-    bv = np.empty(n_steps + 1)
-    bp = np.empty(n_steps + 1)
+    # the two tip rates in channel coordinates: a one-node channel block
+    tips = np.empty((n_steps + 1, 2))
+    s_tips = su[n - 1:n + 1]
     states = np.empty((n_steps + 1, 4 * n)) if keep_states else None
-    # states[k] viewed as [y or u][node][v or p], the interleaved layout
-    nodal = states.reshape(-1, 2, 2, n).transpose(0, 1, 3, 2) if keep_states else None
-    s_nodal = s.reshape(2, n, 2)
 
     quarter_h, half_dt = 0.25 * sys.h, 0.5 * dt
     for k in range(n_steps + 1):
-        # r = 2 [KA y; KM u], so s.r = 4 E / h
-        dsbmv(_KD, 2.0, band, s, y=r, overwrite_y=1)
+        # r = 2 [KA eta; KM w], so s.r = 4 E / h
+        np.multiply(diag, s, out=r)
+        np.multiply(upper, padded[2:], out=tmp)
+        np.add(r, tmp, out=r)
+        np.multiply(lower, padded[:-2], out=tmp)
+        np.add(r, tmp, out=r)
         energies[k] = e = quarter_h * ddot(s, r)
-        bv[k], bp[k] = s[-2], s[-1]
-        if nodal is not None:
-            nodal[k] = s_nodal
+        tips[k] = s_tips
+        if states is not None:
+            states[k] = s
         if not math.isfinite(e):
             raise RuntimeError(f"non-finite state at step {k} (t={times[k]:g}); aborting")
         if k < n_steps:
-            # S w = 2 KM u - dt KA y, solved in place in rM; y += dt/2 w; u = w - u
+            # S w+ = 2 KM w - dt KA eta, solved in place in rM; eta += dt/2 w+; w = w+ - w
             daxpy(rA, rM, a=-half_dt)
-            _, info = dpbtrs(cho, rM, overwrite_b=1)
+            _, info = dpttrs(sd, se, rM, overwrite_b=1)
             if info:
-                raise RuntimeError(f"midpoint step solve failed (dpbtrs info={info})")
+                raise RuntimeError(f"midpoint step solve failed (dpttrs info={info})")
             daxpy(rM, sy, a=half_dt)
             np.subtract(rM, su, out=su)
 
+    bv, bp = _from_channels(T_ch, tips).T
     trace = EnergyTrace(times=times, energies=energies,
                         boundary_v_dot=bv, boundary_p_dot=bp)
-    final = s_nodal.transpose(0, 2, 1).ravel()
+    final = _from_channels(T_ch, s.reshape(2, 2 * n)).ravel()
+    if states is not None:
+        states = _from_channels(T_ch, states.reshape(-1, 2, 2 * n)).reshape(-1, 4 * n)
     return IntegrationResult(trace=trace, final_state=final, states=states)
 
 

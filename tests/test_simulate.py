@@ -1,12 +1,14 @@
 """Time integration, exact modal propagation, decay fitting, envelopes."""
+import mpmath
 import numpy as np
 import pytest
 
-from piezobeam import TABLE1, derive_constants, simulate
+from piezobeam import TABLE1, MaterialParams, derive_constants, simulate
 from piezobeam.errors import DomainError
 from piezobeam.orfd import build_system, discrete_energy, hat_initial_condition
 from piezobeam.simulate import (
     EnergyTrace,
+    _channel_transform,
     envelope_check,
     fit_decay,
     generator_radius_estimate,
@@ -45,12 +47,16 @@ def test_undamped_midpoint_conserves_energy(table1):
 
 @quiet_dt
 def test_undamped_midpoint_drift_at_reference_size(table1):
-    # the benchmark's zero-gain run (N=80, dt=1e-6), cut to 2000 steps
+    # the benchmark's zero-gain run: 20,000 steps at N=80, dt=1e-6.  In the
+    # characteristic channels it drifts 4.0e-12 over the first 2000 steps and
+    # 3.6e-11 over all; the node-interleaved band stepper drifted linearly,
+    # 4.9e-10 and 5.2e-9
     sys = build_system(table1, 80, 0.0, 0.0)
-    res = integrate(sys, hat_initial_condition(table1, 80, 0.5), 2000e-6, 1e-6)
+    res = integrate(sys, hat_initial_condition(table1, 80, 0.5), 20000e-6, 1e-6)
     E = res.trace.energies
-    assert E.shape == (2001,)
-    assert np.max(np.abs(E - E[0])) <= 5e-9 * E[0]
+    assert E.shape == (20001,)
+    assert np.max(np.abs(E[:2001] - E[0])) <= 5e-11 * E[0]
+    assert np.max(np.abs(E - E[0])) <= 2e-10 * E[0]
 
 
 @quiet_dt
@@ -131,10 +137,67 @@ def test_trace_shapes_and_boundary_columns(toy):
                                    rtol=1e-12)
 
 
-def test_midpoint_makes_one_band_product_and_one_solve_per_step(toy, monkeypatch):
-    # one dsbmv per sample and one dpbtrs per step: a second product or
-    # solve per step would show here before it shows in the benchmark
-    calls = {"dsbmv": 0, "dpbtrs": 0}
+# table1 without coupling: K01 = 0, no rotation, the channels are v and p
+UNCOUPLED = MaterialParams(L=1.0, rho=6000.0, mu=1e-6, alpha=1e9, gamma=0.0, beta=1e12)
+
+
+def _channel_materials():
+    rng = np.random.default_rng(7)
+    return [TABLE1, TOY, UNCOUPLED] + [random_material(rng) for _ in range(50)]
+
+
+def test_channel_transform_matches_an_extended_precision_eigensolve():
+    # lam against a 40-digit eigensolve of C1^-1/2 C2 C1^-1/2, T^T C1 T = I
+    # to 4 eps, and T^T C2 T diagonal: its off-diagonal entry, exact on the
+    # float64 T, within 1e-14 of the geometric mean of its diagonal (measured:
+    # 7e-16).  The tangent of the rotation keeps the angle exact however far
+    # apart the two channels are; an atan2 angle sits near pi/2 at table1,
+    # loses its cosine and mixes the channels by 4e-8, which the midpoint
+    # steps would drop
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for params in _channel_materials():
+            sys = build_system(params, 4, 0.0, 0.0)
+            T, lam = _channel_transform(sys)
+            r = [1 / mpmath.sqrt(mpmath.mpf(c)) for c in np.diag(sys.C1)]
+            K = mpmath.matrix([[r[a] * mpmath.mpf(sys.C2[a, b]) * r[b] for b in range(2)]
+                               for a in range(2)])
+            exact = sorted(mpmath.eigsy(K, eigvals_only=True))
+            for got, ref in zip(sorted(lam), exact):
+                assert abs(mpmath.mpf(got) - ref) <= 1e-14 * abs(ref)
+            np.testing.assert_allclose(T.T @ sys.C1 @ T, np.eye(2), rtol=0, atol=4 * eps)
+            Tm = mpmath.matrix(T.tolist())
+            D = Tm.T * mpmath.matrix(sys.C2.tolist()) * Tm
+            assert abs(D[0, 1]) <= 1e-14 * mpmath.sqrt(D[0, 0] * D[1, 1])
+            if params.gamma == 0.0:
+                np.testing.assert_array_equal(T, np.diag(1 / np.sqrt(np.diag(sys.C1))))
+
+
+@pytest.mark.parametrize("params,N,xi1,xi2,dt", [
+    (TOY, 6, 0.3, 0.4, 1e-3),
+    (TABLE1, 80, 1e6, 1e9, 1e-6),
+    (UNCOUPLED, 20, 1e6, 1e9, 1e-6)])
+@quiet_dt
+def test_keep_states_does_not_change_the_run(params, N, xi1, xi2, dt):
+    # keep_states only adds the states: the trace and the final state are
+    # the same bits, and the tip rates are the states' tip columns exactly
+    sys = build_system(params, N, xi1, xi2)
+    s0 = hat_initial_condition(params, N, 0.5)
+    bare = integrate(sys, s0, 40 * dt, dt)
+    kept = integrate(sys, s0, 40 * dt, dt, keep_states=True)
+    assert bare.states is None
+    for name in ("times", "energies", "boundary_v_dot", "boundary_p_dot"):
+        np.testing.assert_array_equal(getattr(kept.trace, name), getattr(bare.trace, name))
+    np.testing.assert_array_equal(kept.final_state, bare.final_state)
+    n = N + 1
+    np.testing.assert_array_equal(kept.trace.boundary_v_dot, kept.states[:, 3 * n - 1])
+    np.testing.assert_array_equal(kept.trace.boundary_p_dot, kept.states[:, 4 * n - 1])
+
+
+def test_midpoint_factors_once_and_makes_one_tridiagonal_solve_per_step(toy, monkeypatch):
+    # one dpttrf per run and one dpttrs per step: a second solve per step
+    # would show here before it shows in the benchmark
+    calls = {"dpttrf": 0, "dpttrs": 0}
 
     def counted(name):
         wrapped = getattr(simulate, name)
@@ -149,7 +212,9 @@ def test_midpoint_makes_one_band_product_and_one_solve_per_step(toy, monkeypatch
     sys = build_system(toy, 6, 0.3, 0.4)
     res = integrate(sys, hat_initial_condition(toy, 6, 0.5), 50e-3, 1e-3)
     assert res.trace.energies.shape == (51,)
-    assert calls == {"dsbmv": 51, "dpbtrs": 50}
+    assert calls == {"dpttrf": 1, "dpttrs": 50}
+    # the banded product and solve of the node-interleaved stepper are gone
+    assert not any(hasattr(simulate, name) for name in ("dsbmv", "dpbtrs"))
 
 
 def _dense_midpoint_step(sys, dt, state):

@@ -10,6 +10,7 @@ and eigensolver errors exit 1 without a manifest, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -91,16 +92,40 @@ def _resolve_out(args: argparse.Namespace, default_name: str) -> Path:
 
 def _write_csv(path: Path, header: str, rows: np.ndarray, sep: str = ",") -> None:
     """Header, then one line per row of the 2-D array, values as _fmt joined by sep."""
-    rows = np.asarray(rows, dtype=float)
-    # "%.17g" % x is format(x, ".17g"); one format per row is ~2x faster.
-    # Blocks of rows keep the Python floats and strings of a long trace
-    # from all being alive at once.
-    line = sep.join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS].tolist()
-            fh.write("".join([line % tuple(row) for row in block]))
+    _write_csvs([(path, header, rows)], sep=sep)
+
+
+def _write_csvs(files: list[tuple[Path, str, np.ndarray]], lead: np.ndarray | None = None,
+                sep: str = ",") -> None:
+    """Several CSVs of the same row count, each as `_write_csv` writes its
+    (path, header, rows); line i of every file starts with lead[i] when
+    given, formatted once for all of them."""
+    # "%.17g" % x is format(x, ".17g"); one format per block of rows is ~20%
+    # faster than one per row.  Blocks keep the Python floats and strings of
+    # a long trace from all being alive at once.
+    files = [(path, header, np.asarray(rows, dtype=float)) for path, header, rows in files]
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w")) for path, _, _ in files]
+        for fh, (_, header, _) in zip(handles, files):
+            fh.write(header + "\n")
+        for start in range(0, files[0][2].shape[0], CSV_BLOCK_ROWS):
+            head = None
+            if lead is not None:
+                head = list(map("%.17g".__mod__, lead[start:start + CSV_BLOCK_ROWS].tolist()))
+            for fh, (_, _, rows) in zip(handles, files):
+                fh.write(_csv_block(rows[start:start + CSV_BLOCK_ROWS], head, sep))
+
+
+def _csv_block(block: np.ndarray, head: list[str] | None, sep: str) -> str:
+    """The lines of a block of rows, each led by its string in head if given."""
+    width = block.shape[1] + (head is not None)
+    line = sep.join(["%s"] * (head is not None) + ["%.17g"] * block.shape[1]) + "\n"
+    cells = [None] * (width * len(block))
+    if head is not None:
+        cells[0::width] = head
+    for j in range(block.shape[1]):
+        cells[width - block.shape[1] + j::width] = block[:, j].tolist()
+    return (line * len(block)) % tuple(cells)
 
 
 def _dump_matrices(sys_obj, outdir: Path) -> list[Path]:
@@ -181,12 +206,12 @@ def cmd_simulate(args: argparse.Namespace,
     trace = result.trace
 
     out = _resolve_out(args, "trace.csv")
-    _write_csv(out, "t,E,vdot_L,pdot_L",
-               np.column_stack([trace.times, trace.energies,
-                                trace.boundary_v_dot, trace.boundary_p_dot]))
     norm_out = out.with_name(out.stem + ".normalized.csv")
     E0 = trace.energies[0]
-    _write_csv(norm_out, "t,E_norm", np.column_stack([trace.times, trace.energies / E0]))
+    _write_csvs([(out, "t,E,vdot_L,pdot_L",
+                  np.column_stack([trace.energies, trace.boundary_v_dot, trace.boundary_p_dot])),
+                 (norm_out, "t,E_norm", (trace.energies / E0)[:, None])],
+                lead=trace.times)
     outputs = [out, norm_out]
     if args.dump_matrices:
         outputs += _dump_matrices(system, Path(args.outdir))

@@ -42,16 +42,21 @@ at the tip rates v_dot(L), p_dot(L) (`tip_rates`, `tip_index`).
 bidiagonal stencil E is lower triangular with entries +-1.  D >= 0, so
 A_E + A_E^T <= 0 holds by construction and the eigenvectors are well
 conditioned (condition ~2).  Every eigenvalue analysis and the modal
-propagation run on A_E, in the layout `_tip_first` makes; the midpoint
-stepper works on the second-order form above.  M and A_h are held as
-stencils and B as its entry 1/h; their Cholesky factors L_m and L_Ah are
-bidiagonal, in closed form, and map nodal states [y; u] to z and back with
-L_C2 (to_energy_coords, from_energy_coords).
+propagation run on A_E, in the layout `_tip_first` makes.  The midpoint
+stepper runs in the closed-form modes of the undamped beam (`modes`,
+`BeamModes`): the pencil (A_h, M) has sine modes, and the two
+characteristic channels of (C1, C2) decouple v and p, so the mode
+coordinates xi (to_modes, from_modes; FFTs of length 4(N+1)) carry the
+energy as (h/2)|xi|^2 and the gains act on them through two tip values.
+M and A_h are held as stencils and B as its entry 1/h; their Cholesky
+factors L_m and L_Ah are bidiagonal, in closed form, and map nodal states
+[y; u] to z and back with L_C2 (to_energy_coords, from_energy_coords).
 Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,6 +75,33 @@ def _check_memory(need: float, what: str, fewer: str) -> None:
         raise DomainError(
             f"{what} needs about {need / 2**20:.0f} MiB, over the "
             f"{MEMORY_BYTES / 2**20:.0f} MiB budget; request fewer {fewer}")
+
+
+@dataclass(frozen=True, eq=False)
+class BeamModes:
+    """The closed-form energy modes of the undamped beam (`OrfdSystem.modes`).
+
+    The channel transform T (`_channel_transform`) has T^T C1 T = I and
+    T^T C2 T = diag(lam), so channel c of eta = T^-1 y obeys
+    M eta_c'' + lam_c A_h eta_c = 0 at zero gains.  The pencil (A_h, M) has
+    the sine modes phi_j(x_i) = sin(k_j x_i), k_j = (2j-1) pi / (2L), with
+    frequencies f_j = (2/h) tan(k_j h/2) and M-norm phi_j^T M phi_j =
+    (n/2) cos^2(k_j h/2), n = N+1; mode (c, j) turns at sigma = sqrt(lam_c) f_j.
+
+    tip[a, c, j] is entry a of Psi: the tip entry a of the energy
+    coordinates z (`OrfdSystem.to_energy_coords`), sqrt(c_a / 4n) times the
+    tip rate, reads Psi^T Im(xi) in the mode coordinates xi
+    (`OrfdSystem.to_modes`).  Psi = R (x) psi with R = diag(C1)^1/2 T a
+    rotation and psi_j = (-1)^(j+1) / (sqrt(2) n cos(k_j h/2)), so its two
+    columns are orthonormal, and D = diag(tip_rates) enters the generator
+    of xi as Psi D Psi^T.
+    """
+
+    T: np.ndarray       # (2, 2) channel transform
+    lam: np.ndarray     # (2,) channel coefficients T^T C2 T
+    sigma: np.ndarray   # (2, n) mode frequencies sqrt(lam_c) f_j
+    tip: np.ndarray     # (2, 2, n) tip values Psi[a, c, j]
+    m_norm: np.ndarray  # (n,) phi_j^T M phi_j = (n/2) cos^2(k_j h/2)
 
 
 @dataclass(eq=False)
@@ -155,6 +187,77 @@ class OrfdSystem:
         A_E[self.tip_index, self.tip_index] = -self.tip_rates
         return A_E
 
+    @cached_property
+    def modes(self) -> BeamModes:
+        """The closed-form modes (`BeamModes`), O(N) arrays."""
+        n = self.n_nodes
+        T, lam = _channel_transform(self)
+        # k_j h/2 = (2j-1) pi/(4n); its cosine is the sine of the reflected
+        # grid point pi/2 - k_j h/2, accurate where k_j h/2 nears pi/2
+        half = np.arange(1, 2 * n, 2) * (math.pi / (4 * n))
+        sin, cos = np.sin(half), np.sin(half[::-1])
+        psi = np.where(np.arange(n) % 2, -1.0, 1.0) / (math.sqrt(2.0) * n * cos)
+        R = np.sqrt(np.diag(self.C1))[:, None] * T
+        return BeamModes(T=T, lam=lam, sigma=np.sqrt(lam)[:, None] * (2.0 / self.h * sin / cos),
+                         tip=R[:, :, None] * psi, m_norm=0.5 * n * cos**2)
+
+    def to_modes(self, states: np.ndarray) -> np.ndarray:
+        """Mode coordinates xi = zeta_y + i zeta_u, shape (..., 2, N+1), of
+        nodal states (..., 4(N+1)), with (h/2) |xi|^2 the discrete energy.
+
+        With M = F^T F and A_h = (D/h)^T (D/h) for the cell stencils
+        F = E/2 (averages) and D (differences) of the module docstring,
+        F Phi is the orthogonal DST-IV and (D/h) Phi the orthogonal DCT-IV
+        times diag(f), for Phi the M-normalised sine modes.  So, per channel
+        (eta, w) = T^-1 (y, u) node by node,
+
+            zeta_y = sqrt(lam_c) DCT-IV(D eta / h),   zeta_u = DST-IV(F w),
+
+        the amplitudes Phi^-1 eta and Phi^-1 w scaled by sigma and 1, through
+        orthogonal maps of the cell differences and averages (`_odd_fft`).
+        """
+        m = self.modes
+        n = self.n_nodes
+        s = np.asarray(states, dtype=float).reshape(-1, 2, 2, n)
+        ch = (m.T.T * np.diag(self.C1)) @ s  # T^-1 = T^T C1 on each node
+        scale = math.sqrt(2.0 / n)
+        xi = np.empty((s.shape[0], 2, n), dtype=complex)
+        # one channel and part at a time: the FFT buffers take ~10(N+1)
+        # doubles per state
+        for c in range(2):
+            eta, w = ch[:, 0, c], ch[:, 1, c]
+            xi[:, c].real = _odd_fft(np.diff(eta, axis=-1, prepend=0.0)).real * (
+                scale * math.sqrt(m.lam[c]) / self.h)
+            sums = w.copy()  # twice the cell averages, w = 0 at the clamp
+            sums[:, 1:] += w[:, :-1]
+            xi[:, c].imag = _odd_fft(sums).imag * (-0.5 * scale)
+        return xi.reshape(np.shape(states)[:-1] + (2, n))
+
+    def from_modes(self, xi: np.ndarray) -> np.ndarray:
+        """Nodal states (..., 4(N+1)) of mode coordinates xi (..., 2, N+1),
+        the inverse of `to_modes`: the DCT-IV and DST-IV are their own
+        inverses, D^-1 is a running sum and F^-1 an alternating one.  Node by
+        node and state by state, so a sub-block of states maps to the same
+        bits as inside the whole."""
+        m = self.modes
+        n = self.n_nodes
+        shape = np.shape(xi)
+        xi = np.asarray(xi).reshape(-1, 2, n)
+        scale = math.sqrt(2.0 / n)
+        sign = np.where(np.arange(n) % 2, -1.0, 1.0)
+        eta, w = np.empty(xi.shape), np.empty(xi.shape)
+        for c in range(2):
+            eta[:, c] = np.cumsum(_odd_fft(xi[:, c].real).real, axis=-1)
+            eta[:, c] *= scale * self.h / math.sqrt(m.lam[c])
+            w[:, c] = np.cumsum(_odd_fft(xi[:, c].imag).imag * sign, axis=-1)
+            w[:, c] *= -2.0 * scale * sign
+        out = np.empty((xi.shape[0], 2, 2, n))
+        for q, chan in enumerate((eta, w)):
+            for a in range(2):
+                np.multiply(m.T[a, 0], chan[:, 0], out=out[:, q, a])
+                out[:, q, a] += m.T[a, 1] * chan[:, 1]
+        return out.reshape(shape[:-2] + (4 * n,))
+
     def to_energy_coords(self, states: np.ndarray) -> np.ndarray:
         """z = [L_A^T y; L_M^T u] of nodal states, shape (..., 4(N+1))."""
         s = np.asarray(states, dtype=float).reshape(-1, 4, self.n_nodes)
@@ -169,6 +272,38 @@ class OrfdSystem:
         y = np.linalg.solve(self.L_C2.T, _solve_right(blocks[:, :2], self.L_Ah))
         u = _solve_right(blocks[:, 2:], self.L_m) / np.sqrt(np.diag(self.C1))[:, None]
         return np.concatenate([y, u], axis=1).reshape(np.shape(z))
+
+
+def _channel_transform(sys: OrfdSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(T, lam) with T^T C1 T = I and T^T C2 T = diag(lam): the beam's two
+    characteristic channels.
+
+    T = diag(c) R for c = diag(C1)^-1/2 and the Jacobi rotation R that
+    diagonalises K = C2 o c c^T (Golub & Van Loan's sym.schur2).  Its
+    tangent t is the smaller root of t^2 + 2 zeta t - 1 = 0, so |t| <= 1 and
+    the angle is exact to rounding however far apart the two channels' wave
+    speeds are; an atan2 angle lands near pi/2 there and loses its cosine.
+    With K01 = 0 (gamma = 0) the channels are v and p themselves.
+    """
+    c = 1.0 / np.sqrt(np.diag(sys.C1))
+    K = sys.C2 * np.outer(c, c)
+    if K[0, 1] == 0.0:
+        return np.diag(c), np.diag(K).copy()
+    zeta = (K[1, 1] - K[0, 0]) / (2.0 * K[0, 1])
+    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    R = np.array([[cs, t * cs], [-t * cs, cs]])
+    return c[:, None] * R, np.array([K[0, 0] - t * K[0, 1], K[1, 1] + t * K[0, 1]])
+
+
+def _odd_fft(x: np.ndarray) -> np.ndarray:
+    """Y_j = sum_k x_k exp(-i pi (2k+1)(2j+1) / (4n)) over the last axis of x
+    (length n): the length-4n FFT of x zero-padded, read at the odd
+    frequencies 1, 3, ..., 2n-1 and turned by exp(-i pi (2j+1) / (4n)).
+    sqrt(2/n) Re Y is the orthogonal DCT-IV of x, -sqrt(2/n) Im Y its DST-IV."""
+    n = x.shape[-1]
+    return np.fft.rfft(x, 4 * n)[..., 1:2 * n:2] * np.exp(
+        (-0.25j * math.pi / n) * np.arange(1, 2 * n, 2))
 
 
 def _tip_first(A: np.ndarray) -> np.ndarray:

@@ -3,17 +3,20 @@
 Two propagators:
 
 * `integrate` -- implicit midpoint on the second-order form, run in the
-  beam's two characteristic channels: the congruence T with T^T C1 T = I
-  and T^T C2 T = diag(lam) (`_channel_transform`) splits the mass and
-  stiffness forms into two uncoupled tridiagonal chains, which the gains
-  couple only at the tip.  With channel 1 in reversed node order the two
-  tips are neighbours, so the SPD step matrix is one tridiagonal, factored
-  once (dpttrf).  A step is one tridiagonal product with the stiffness and
-  mass forms side by side, which also gives the sample's energy, one
-  tridiagonal solve (dpttrs) and three in-place vector updates; the tip
-  rates, states and final state go back to nodes after the run.  The scheme
-  preserves the discrete energy at zero amplifiers to roundoff transport
-  and keeps the trace monotone at positive amplifiers.  Midpoint is the
+  beam's closed-form energy modes (`orfd.BeamModes`, `OrfdSystem.to_modes`):
+  the characteristic channels T^T C1 T = I, T^T C2 T = diag(lam) split the
+  beam into two wave equations, and the sine modes of each make the mass
+  and stiffness forms diagonal, so in the complex mode coordinates xi, with
+  (h/2)|xi|^2 the discrete energy, the undamped midpoint step turns each
+  mode by mu = (1 - i theta)/(1 + i theta), |mu| = 1.  The gains act
+  through the modes' two tip values, a rank-2 correction with a 2x2 solve
+  done once per run (`_midpoint_operators`); a step is two matrix-vector
+  products, one in-place complex multiply and one dot product for the
+  sample's energy.  The tip rates come from the midpoint tip of each step,
+  the states and final state go back to nodes after the run by FFTs.  The
+  scheme keeps the discrete energy at zero amplifiers to roundoff, without
+  a step matrix whose rounding makes it drift, and keeps the trace
+  monotone at positive amplifiers.  Midpoint is the
   right tool up to moderate stiffness, but it under-damps branches it
   cannot resolve: damping of a mode at frequency w is suppressed by
   ~4/(w*dt)^2 once w*dt >> 1.  A warning is emitted when dt leaves the
@@ -43,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import daxpy, ddot, dgemm
-from scipy.linalg.lapack import dgesv, dpttrf, dpttrs
+from scipy.linalg.blas import ddot, dgemm, dgemv
+from scipy.linalg.lapack import dgesv
 
 from .errors import DomainError
 from ._lapack import one_blas_thread
@@ -53,6 +56,9 @@ from .orfd import OrfdSystem, _check_memory, _from_tip_first, _tip_first, check_
 # Ratio of E_h(0) used as the positivity floor when fitting log-energy, and
 # the largest rise between samples a modal trace may show without a warning.
 ENERGY_FLOOR_ULPS = 1e3 * np.finfo(float).eps
+
+# Kept midpoint states mapped back to nodes per block.
+STATE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -96,102 +102,55 @@ class IntegrationResult:
     states: np.ndarray | None = None  # (samples, 4(N+1)) when requested
 
 
-def _channel_transform(sys: OrfdSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(T, lam) with T^T C1 T = I and T^T C2 T = diag(lam): the beam's two
-    characteristic channels.
+def _midpoint_operators(sys: OrfdSystem, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, P, V) of one implicit midpoint step in the mode coordinates xi
+    (`OrfdSystem.to_modes`, `orfd.BeamModes`), on the real view x of xi
+    (Re and Im of each mode side by side).
 
-    T = diag(c) R for c = diag(C1)^-1/2 and the Jacobi rotation R that
-    diagonalises K = C2 o c c^T (Golub & Van Loan's sym.schur2).  Its
-    tangent t is the smaller root of t^2 + 2 zeta t - 1 = 0, so |t| <= 1 and
-    the angle is exact to rounding however far apart the two channels' wave
-    speeds are; an atan2 angle lands near pi/2 there and loses its cosine.
-    With K01 = 0 (gamma = 0) the channels are v and p themselves.
+    In xi the semi-discrete flow is xi' = -i sigma xi - i Psi D Psi^T Im(xi),
+    D = diag(tip_rates) and Psi the modes' tip values.  With theta = sigma dt/2
+    and rho = 1/(1 + theta^2) the midpoint step xi+ - xi = dt xi'((xi + xi+)/2)
+    is, by Sherman-Morrison-Woodbury on the rank-2 gain term,
+
+        p   = Psi^T Im(xi / (1 + i theta)) = Psi^T rho (Im xi - theta Re xi),
+        tau = (I + G Delta)^-1 p,   G = Psi^T diag(rho) Psi,   Delta = (dt/2) D,
+        c   = Delta tau,
+        xi+ = mu xi - 2 (theta + i) rho Psi c,   mu = (1 - i theta)/(1 + i theta),
+
+    where tau = Psi^T Im((xi + xi+)/2) holds the tip entries of z at the
+    midpoint.  P takes x to tau as tip rates, and V^T, with c = Delta tau
+    folded into it, takes those to the update of x.  |mu| = 1 to rounding,
+    so at zero gains the step only turns each mode, and no matrix of order
+    N is formed or solved.
+    G = R diag(g) R^T for the rotation R of `BeamModes`, so
+    det(I + G Delta) = 1 + G_00 Delta_0 + G_11 Delta_1 + g_0 g_1 Delta_0 Delta_1
+    with every term >= 0: the 2x2 inverse loses nothing when a tip rate is
+    huge and the tip nearly clamped.
     """
-    c = 1.0 / np.sqrt(np.diag(sys.C1))
-    K = sys.C2 * np.outer(c, c)
-    if K[0, 1] == 0.0:
-        return np.diag(c), np.diag(K).copy()
-    zeta = (K[1, 1] - K[0, 0]) / (2.0 * K[0, 1])
-    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-    cs = 1.0 / math.sqrt(1.0 + t * t)
-    R = np.array([[cs, t * cs], [-t * cs, cs]])
-    return c[:, None] * R, np.array([K[0, 0] - t * K[0, 1], K[1, 1] + t * K[0, 1]])
-
-
-def _to_channels(T: np.ndarray, C1: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Channel coordinates T^-1 q = T^T C1 q of nodal blocks q = [v; p] on
-    the last axis: channel 0 by node, then channel 1 in reversed node order."""
-    Ti = T.T * np.diag(C1)
-    m = q.shape[-1] // 2
-    v, p = q[..., :m], q[..., m:]
-    return np.concatenate([Ti[0, 0] * v + Ti[0, 1] * p,
-                           (Ti[1, 0] * v + Ti[1, 1] * p)[..., ::-1]], axis=-1)
-
-
-def _from_channels(T: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Nodal blocks [v; p] = T q of channel blocks q (`_to_channels`) on the
-    last axis.  Entry by entry, so a sub-block (the two tip entries, as a
-    one-node block) maps to the same bits as inside the whole."""
-    m = q.shape[-1] // 2
-    q0, q1 = q[..., :m], q[..., m:][..., ::-1]
-    out = np.empty(q.shape)
-    for a, block in enumerate((out[..., :m], out[..., m:])):
-        np.multiply(T[a, 0], q0, out=block)
-        block += T[a, 1] * q1
-    return out
-
-
-def _channel_chain(stencil: tuple, w) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of kron(diag(w), T) in channel order, for T
-    the tridiagonal stencil (d, e): channel 1 reversed, so its tip follows
-    channel 0's, and a zero off-diagonal entry between the two tips."""
-    d, e = stencil
-    return np.r_[w[0] * d, w[1] * d[::-1]], np.r_[w[0] * e, 0.0, w[1] * e[::-1]]
-
-
-def _midpoint_tridiagonals(sys: OrfdSystem, T: np.ndarray, lam: np.ndarray,
-                           dt: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The stacked [KA, KM] product's diagonal and off-diagonal, and the
-    LDL^T factor of S, for midpoint steps in channel coordinates.
-
-    With KM = C1 (x) M, KA = C2 (x) A_h and KB = diag(xi) (x) B, where B
-    holds 1/h at the tip, and u = y', the step is S u+ = R u - dt KA y,
-    y+ = y + (dt/2) (u + u+), where
-
-        S = KM + (dt^2/4) KA + (dt/2) KB,   R = KM - (dt^2/4) KA - (dt/2) KB.
-
-    Since S + R = 2 KM, it is solved as
-
-        S w = 2 KM u - dt KA y,   y+ = y + (dt/2) w,   u+ = w - u,
-
-    which reuses the products KM u and KA y of the sample's energy
-    (h/2)(y^T KA y + u^T KM u).  R itself is never formed: its entries are
-    dominated by (dt^2/4) KA and lose KM to rounding.
-
-    In channel coordinates y = (T (x) I) eta (`_channel_transform`) the
-    forms become KM = I (x) M and KA = diag(lam) (x) A_h: two uncoupled
-    tridiagonal chains.  The gains couple them only through the tip block
-    T^T diag(xi) T / h, and channel 1 runs in reversed node order, so its
-    tip sits next to channel 0's and S is one SPD tridiagonal of order
-    2(N+1), factored once by dpttrf.  KA and KM side by side form one
-    tridiagonal of order 4(N+1) with zeros where the blocks join, so for
-    s = [eta; w] the product r = 2 [KA eta; KM w] is three vector products,
-    s.r = 4 E / h, and r's second half minus (dt/2) times its first half
-    is the right-hand side.
-    """
-    dM, eM = _channel_chain(sys.M_stencil, (1.0, 1.0))
-    dA, eA = _channel_chain(sys.Ah_stencil, lam)
+    modes = sys.modes
     n = sys.n_nodes
-    d, e = dM + 0.25 * dt * dt * dA, eM + 0.25 * dt * dt * eA
-    # (dt/2) KB: B's one entry 1/h times T^T diag(xi) T, on the two tips
-    tip = 0.5 * dt / sys.h * (T.T * np.array([sys.xi1, sys.xi2])) @ T
-    d[n - 1] += tip[0, 0]
-    d[n] += tip[1, 1]
-    e[n - 1] = tip[0, 1]
-    d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-    if info:
-        raise RuntimeError(f"midpoint step matrix is not SPD (dpttrf info={info})")
-    return 2.0 * np.r_[dA, dM], 2.0 * np.r_[0.0, eA, 0.0, eM, 0.0], (d, e)
+    theta = (0.5 * dt) * modes.sigma.ravel()
+    rho = 1.0 / (1.0 + theta * theta)
+    mu = np.exp(-2j * np.arctan(theta))
+    psi = modes.tip.reshape(2, 2 * n)
+    G = np.einsum("am,m,bm->ab", psi, rho, psi)
+    g = np.einsum("acj,acj,cj->c", modes.tip, modes.tip, rho.reshape(2, n))
+    delta = 0.5 * dt * sys.tip_rates
+    det = 1.0 + G[0, 0] * delta[0] + G[1, 1] * delta[1] + g[0] * g[1] * delta[0] * delta[1]
+    K = np.array([[1.0 + G[1, 1] * delta[1], -G[0, 1] * delta[1]],
+                  [-G[1, 0] * delta[0], 1.0 + G[0, 0] * delta[0]]]) / det
+    # a tip entry of z is sqrt(c_a / 4n) times the tip rate: P gives tau as
+    # tip rates, and V takes them, c = Delta tau folded into its columns
+    rate = 2.0 * math.sqrt(n) / np.sqrt(np.diag(sys.C1))
+    KPsi = (rate[:, None] * K) @ psi
+    P, V = np.empty((2, 4 * n)), np.empty((2, 4 * n))
+    rho_theta = rho * theta
+    np.multiply(KPsi, -rho_theta, out=P[:, 0::2])
+    np.multiply(KPsi, rho, out=P[:, 1::2])
+    psi = psi * (-2.0 * delta / rate)[:, None]
+    np.multiply(psi, rho_theta, out=V[:, 0::2])
+    np.multiply(psi, rho, out=V[:, 1::2])
+    return mu, P, V
 
 
 def generator_radius_estimate(sys: OrfdSystem) -> float:
@@ -213,12 +172,16 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
               dt: float, keep_states: bool = False) -> IntegrationResult:
     """Implicit midpoint run over [0, T], sampling every step.
 
-    Steps in channel coordinates (`_midpoint_tridiagonals`): per step one
-    tridiagonal product, which gives the sample's energy, one tridiagonal
-    solve and three in-place updates.  The tip rates are recorded there
-    and, with keep_states, the states; both and the final state are mapped
-    back to nodes after the run by one entrywise map, so the tip rates are
-    bit for bit the tip columns of the states.
+    Steps in the mode coordinates xi (`_midpoint_operators`): per step one
+    dgemv for the midpoint tip rates, one complex multiply by mu, one dgemv
+    for the gain correction and one ddot for the
+    sample's energy (h/2)|xi|^2, with scipy's OpenBLAS held to one thread,
+    so the trace does not depend on the BLAS thread count.  The tip rates
+    follow tip_k+1 = 2 tau_k - tip_k from the exact initial ones and the
+    midpoint tips tau_k; with keep_states the modes of every sample are
+    kept.  The states and the final state are mapped back to nodes after
+    the run (`OrfdSystem.from_modes`) and take those tip rates, so the tip
+    rates are bit for bit the tip columns of the states.
     T must be a whole number of steps dt, to 1e-9 relative; another span is
     a DomainError that names the two nearest.  Emits a warning when dt
     leaves the fastest generator mode unresolved (dt * radius > 0.2); the
@@ -239,9 +202,11 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
         raise DomainError(f"T={T!r} is not a whole number of steps dt={dt!r}; "
                           f"the nearest spans are {below * dt:.12g} and {(below + 1) * dt:.12g}")
     n = sys.N + 1
-    # ~30n doubles of tridiagonals and buffers, then 7 per sample, and 10n
-    # more with keep_states (channel states, nodal states and a product)
-    _check_memory(8 * (30 * n + (7 + 10 * n * bool(keep_states)) * (steps + 1)),
+    # ~48n doubles of modes, step operators and FFT buffers, then 6 per
+    # sample; with keep_states 8n more per sample (modes and nodal states)
+    # and ~20n per state of a block mapped back to nodes
+    _check_memory(8 * (48 * n + 6 * (steps + 1)
+                       + bool(keep_states) * n * (8 * (steps + 1) + 20 * STATE_BLOCK)),
                   f"midpoint run at N={sys.N} with {steps:.0f} steps", "steps")
     n_steps = int(steps)
 
@@ -252,54 +217,54 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
             "damping of unresolved branches is understated",
             RuntimeWarning, stacklevel=2)
 
-    T_ch, lam = _channel_transform(sys)
-    diag, off, (sd, se) = _midpoint_tridiagonals(sys, T_ch, lam, dt)
-    # s = [eta; w] in channel coordinates, updated in place between two
-    # zeros, so both shifted products read whole slices
-    padded = np.zeros(4 * n + 2)
-    s = padded[1:-1]
-    s[:] = _to_channels(T_ch, sys.C1, check_state(sys, state0).reshape(2, 2 * n)).ravel()
-    sy, su = s[: 2 * n], s[2 * n:]
-    # off holds the off-diagonal between two zeros: off[i] couples s_i-1 and s_i
-    upper, lower = off[1:], off[:-1]
-    r, tmp = np.empty(4 * n), np.empty(4 * n)
-    rA, rM = r[: 2 * n], r[2 * n:]
+    state0 = check_state(sys, state0)
+    xi = sys.to_modes(state0).ravel()
+    mu, P, V = _midpoint_operators(sys, dt)
+    x = xi.view(float)
     times = dt * np.arange(n_steps + 1)
     energies = np.empty(n_steps + 1)
-    # the two tip rates in channel coordinates: a one-node channel block
-    tips = np.empty((n_steps + 1, 2))
-    s_tips = su[n - 1:n + 1]
-    states = np.empty((n_steps + 1, 4 * n)) if keep_states else None
+    # row k+1 takes step k's midpoint tip rates tau_k, then the tip rates
+    tips = np.zeros((n_steps + 1, 2))
+    tips[0] = state0[sys.tip_index]
+    kept = np.empty((n_steps + 1, 2 * n), dtype=complex) if keep_states else None
 
-    quarter_h, half_dt = 0.25 * sys.h, 0.5 * dt
-    for k in range(n_steps + 1):
-        # r = 2 [KA eta; KM w], so s.r = 4 E / h
-        np.multiply(diag, s, out=r)
-        np.multiply(upper, padded[2:], out=tmp)
-        np.add(r, tmp, out=r)
-        np.multiply(lower, padded[:-2], out=tmp)
-        np.add(r, tmp, out=r)
-        energies[k] = e = quarter_h * ddot(s, r)
-        tips[k] = s_tips
-        if states is not None:
-            states[k] = s
-        if not math.isfinite(e):
-            raise RuntimeError(f"non-finite state at step {k} (t={times[k]:g}); aborting")
-        if k < n_steps:
-            # S w+ = 2 KM w - dt KA eta, solved in place in rM; eta += dt/2 w+; w = w+ - w
-            daxpy(rA, rM, a=-half_dt)
-            _, info = dpttrs(sd, se, rM, overwrite_b=1)
-            if info:
-                raise RuntimeError(f"midpoint step solve failed (dpttrs info={info})")
-            daxpy(rM, sy, a=half_dt)
-            np.subtract(rM, su, out=su)
+    half_h = 0.5 * sys.h
+    # P and V transposed are Fortran-order views: dgemv reads them in place
+    Pt, Vt = P.T, V.T
+    with one_blas_thread():
+        for k in range(n_steps + 1):
+            energies[k] = e = half_h * ddot(x, x)
+            if kept is not None:
+                kept[k] = xi
+            if not math.isfinite(e):
+                raise RuntimeError(f"non-finite state at step {k} (t={times[k]:g}); aborting")
+            if k < n_steps:
+                tau = tips[k + 1]
+                dgemv(1.0, Pt, x, y=tau, overwrite_y=1, trans=1)
+                np.multiply(xi, mu, out=xi)
+                dgemv(1.0, Vt, tau, beta=1.0, y=x, overwrite_y=1)
+    del mu, P, V, Pt, Vt  # the maps back to nodes need their room
 
-    bv, bp = _from_channels(T_ch, tips).T
+    # tip_k+1 = 2 tau_k - tip_k from the exact initial tip rates: tau is
+    # accurate where the mode sum Psi^T Im(xi) cancels, at a nearly clamped
+    # tip.  In place, tip_k = (-1)^k (tip_0 - 2 sum_{m<k} (-1)^m tau_m).
+    run = tips[1:]
+    run[1::2] *= -1.0
+    np.cumsum(run, axis=0, out=run)
+    run *= -2.0
+    run += tips[0]
+    run[0::2] *= -1.0
     trace = EnergyTrace(times=times, energies=energies,
-                        boundary_v_dot=bv, boundary_p_dot=bp)
-    final = _from_channels(T_ch, s.reshape(2, 2 * n)).ravel()
-    if states is not None:
-        states = _from_channels(T_ch, states.reshape(-1, 2, 2 * n)).reshape(-1, 4 * n)
+                        boundary_v_dot=tips[:, 0], boundary_p_dot=tips[:, 1])
+    final = sys.from_modes(xi.reshape(2, n))
+    final[sys.tip_index] = tips[-1]
+    states = None
+    if kept is not None:
+        states = np.empty((n_steps + 1, 4 * n))
+        for start in range(0, n_steps + 1, STATE_BLOCK):
+            block = slice(start, start + STATE_BLOCK)
+            states[block] = sys.from_modes(kept[block].reshape(-1, 2, n))
+        states[:, sys.tip_index] = tips
     return IntegrationResult(trace=trace, final_state=final, states=states)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from piezobeam import cli, orfd, spectral
+from piezobeam import cli, orfd, simulate, spectral
 from piezobeam.cli import CSV_BLOCK_ROWS, TABLE3_XI1, TABLE3_XI2, _write_csv, run
 from piezobeam.design import amplifier_intervals, epsilon_bounds
 from piezobeam.materials import (
@@ -277,6 +277,35 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     want = "a,b,c,d\n" + "".join(
         ",".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
     assert path.read_bytes() == want.encode()
+
+
+def test_simulate_trace_files_match_the_per_row_writer(tmp_path, capsys, monkeypatch):
+    # trace.csv and trace.normalized.csv share one formatted time column;
+    # byte for byte they are what one "%.17g" per value, row by row, writes
+    rng = np.random.default_rng(4)
+    m = 2 * CSV_BLOCK_ROWS + 5
+    times = np.r_[0.0, 5e-324, 0.1, 1 / 3, np.cumsum(rng.random(m - 4)) + 1.0]
+    E = np.r_[3.0, 1 / 3, 1e-300, 1e300,
+              rng.random(m - 4) * 10.0 ** rng.integers(-300, 300, m - 4)]
+    rates = rng.standard_normal((2, m)) * 10.0 ** rng.integers(-300, 300, (2, m))
+    rates[:, 0] = [-0.0, 9007199254740993.0]
+    trace = simulate.EnergyTrace(times=times, energies=E,
+                                 boundary_v_dot=rates[0], boundary_p_dot=rates[1])
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: simulate.IntegrationResult(
+        trace=trace, final_state=np.zeros(36)))
+    out_csv = tmp_path / "trace.csv"
+    code, _, _ = _run(capsys, "simulate", "--N", "8", "--xi1", "1", "--xi2", "1",
+                      "--out", str(out_csv), "--outdir", str(tmp_path))
+    assert code == 0
+
+    def per_row(header, columns):
+        rows = np.column_stack(columns).tolist()
+        return (header + "\n" + "".join(",".join("%.17g" % x for x in row) + "\n"
+                                        for row in rows)).encode()
+
+    assert out_csv.read_bytes() == per_row("t,E,vdot_L,pdot_L", [times, E, *rates])
+    assert (tmp_path / "trace.normalized.csv").read_bytes() == per_row(
+        "t,E_norm", [times, E / E[0]])
 
 
 def test_simulate_modal_row_count(tmp_path, capsys):

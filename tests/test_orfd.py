@@ -1,9 +1,10 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import block_diag
 
-from piezobeam import (DomainError, build_system, discrete_energy, hat_initial_condition,
+from piezobeam import (TABLE1, DomainError, build_system, discrete_energy, hat_initial_condition,
                       integrate, modal_trace, orfd, perturbation_functional)
 
 from conftest import TOY, dense_blocks, random_material
@@ -63,6 +64,66 @@ def test_mesh_factors_are_the_closed_form(table1, N):
     for (ld, le), (md, me) in (((d, e), sys.M_stencil), ((dA, eA), sys.Ah_stencil)):
         np.testing.assert_allclose(ld**2 + np.r_[0.0, le**2], md, rtol=8 * eps, atol=0)
         np.testing.assert_allclose(le * ld[:-1], me, rtol=8 * eps, atol=0)
+
+
+@pytest.mark.parametrize("N", [2, 8, 80])
+@pytest.mark.parametrize("params", [pytest.param(TOY, id="toy"),
+                                    pytest.param(TABLE1, id="table1")])
+def test_closed_form_modes_match_numerical_eigensolves(params, N):
+    # the frequencies against the pencil (A_h, M) and sigma against the
+    # singular values of G, both to 1e-13 of the largest (measured 1.6e-14);
+    # the M-norm (n/2) cos^2(k_j h/2) against the sine modes' projections
+    # on eigh's M-normalised eigenvectors, which are insensitive to first
+    # order to the eigenvectors' error; the tip values Psi = R (x) psi against
+    # the tip row of the mesh factor's left singular vectors, and their signs
+    # against the energy coordinates: Psi^T Im(xi) is z's pair of tip entries
+    sys = build_system(params, N, 0.0, 0.0)
+    n = N + 1
+    modes = sys.modes
+    M, Ah, _ = dense_blocks(sys)
+    w, V = scipy.linalg.eigh(Ah, M)
+    f = modes.sigma / np.sqrt(modes.lam)[:, None]
+    np.testing.assert_allclose(f[0], f[1], rtol=4 * np.finfo(float).eps, atol=0)
+    np.testing.assert_allclose(np.sqrt(w), f[0], rtol=0, atol=1e-13 * f[0, -1])
+    k = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * params.L)
+    phi = np.sin(np.outer(sys.h * np.arange(1, n + 1), k))
+    np.testing.assert_allclose(np.einsum("ij,ik,kj->j", V, M, phi) ** 2, modes.m_norm,
+                               rtol=1e-13, atol=0)
+    coupling, mesh = sys.G_factors
+    singular = np.linalg.svd(np.kron(coupling, mesh), compute_uv=False)
+    np.testing.assert_allclose(np.sort(modes.sigma.ravel())[::-1], singular,
+                               rtol=0, atol=1e-13 * singular[0])
+    R = np.sqrt(np.diag(sys.C1))[:, None] * modes.T
+    np.testing.assert_allclose(R.T @ R, np.eye(2), rtol=0, atol=4 * np.finfo(float).eps)
+    U = np.linalg.svd(mesh)[0]  # descending singular values: mode j is column n-1-j
+    np.testing.assert_allclose(np.abs(modes.tip), np.abs(R)[:, :, None] * np.abs(U[-1, ::-1]),
+                               rtol=0, atol=1e-13)
+    state = np.random.default_rng(N).standard_normal(4 * n)
+    z = sys.to_energy_coords(state)
+    tips = modes.tip.reshape(2, 2 * n) @ sys.to_modes(state).imag.ravel()
+    np.testing.assert_allclose(tips, z[sys.tip_index], rtol=0,
+                               atol=1e-13 * np.linalg.norm(z[2 * n:]))
+
+
+@pytest.mark.parametrize("N", [80, 20000])
+def test_mode_maps_round_trip_and_keep_the_energy(table1, N):
+    # (h/2)|xi|^2 of the mode coordinates is (h/2)|z|^2 of the energy
+    # coordinates, and to_modes inverts from_modes, to 1e-13 relative at
+    # both sizes (measured: 1.3e-14 and 2.4e-14 at N=20000).  The maps are
+    # FFTs of length 4(N+1), so no N x N array is formed.
+    sys = build_system(table1, N, 1e6, 1e9)
+    n = N + 1
+    rng = np.random.default_rng(3)
+    hat = hat_initial_condition(table1, N, 0.3)
+    for state in (rng.standard_normal(4 * n), np.r_[hat[:2 * n], hat[::-1][:2 * n]]):
+        xi = sys.to_modes(state)
+        assert xi.shape == (2, n)
+        z = sys.to_energy_coords(state)
+        np.testing.assert_allclose(np.vdot(xi, xi).real, z @ z, rtol=1e-13, atol=0)
+    xi = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
+    back = sys.to_modes(sys.from_modes(xi))
+    assert back.shape == xi.shape
+    assert np.linalg.norm(back - xi) <= 1e-13 * np.linalg.norm(xi)
 
 
 def nodal_generator_reference(sys):
@@ -167,8 +228,8 @@ def test_build_system_rejects(toy, bad):
 def test_memory_budget_is_checked_where_blocks_are_allocated(toy, monkeypatch):
     # 1 MiB: the generator's 6 (4(N+1))^2 doubles fit up to N=35, and its
     # dense mesh factor is not formed before that check.  A midpoint run
-    # holds only bands, about 48 (N+1) doubles, and 4 doubles per step, so
-    # at N=2400 a few thousand steps fit
+    # holds only mode arrays, about 48 (N+1) doubles, and 6 doubles per
+    # step, so at N=2400 a few thousand steps fit
     monkeypatch.setattr(orfd, "MEMORY_BYTES", 2**20)
     sys = build_system(toy, 40, 1.0, 1.0)
     with pytest.raises(DomainError, match="generator at N=40 needs about 1 MiB"):

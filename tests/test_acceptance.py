@@ -93,9 +93,9 @@ def test_acceptance_4_conservative_oracle(table1):
     lam = spectrum(sys).eigenvalues
     radius = float(np.abs(lam).max())
     rel_real = float(lam.real.max() / radius)
-    ok = drift <= 1e-8 and rel_real < 1e-8
+    ok = drift <= 1e-12 and rel_real < 1e-8
     _report(4, ok,
-            f"energy drift {drift:.2e} <= 1e-8 over 1e4 steps; "
+            f"energy drift {drift:.2e} <= 1e-12 over 1e4 steps; "
             f"max Re(mu) / radius = {rel_real:.2e} < 1e-8")
 
 

@@ -1,7 +1,10 @@
 """Time integration, exact modal propagation, decay fitting, envelopes."""
+from collections import Counter
+
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from piezobeam import TABLE1, MaterialParams, derive_constants, simulate
 from piezobeam.errors import DomainError
@@ -47,16 +50,17 @@ def test_undamped_midpoint_conserves_energy(table1):
 @quiet_dt
 def test_undamped_midpoint_drift_at_reference_size(table1):
     # the benchmark's zero-gain run: 20,000 steps at N=80, dt=1e-6.  In the
-    # modes a step turns each mode by |mu| = 1 and forms no step matrix; it
-    # drifts 2.6e-14 over the first 2000 steps and 2.7e-13 over all.  The
-    # tridiagonal channel stepper drifted 4.0e-12 and 3.6e-11, the
-    # node-interleaved band stepper 4.9e-10 and 5.2e-9
+    # modes a block of steps turns each mode by the table mu^m, |mu^m| = 1
+    # to rounding, and forms no step matrix; it drifts 1.6e-15 over the
+    # first 2000 steps and 1.0e-14 over all.  Turning by mu once per step
+    # drifted 2.6e-14 and 2.7e-13, the tridiagonal channel stepper 4.0e-12
+    # and 3.6e-11, the node-interleaved band stepper 4.9e-10 and 5.2e-9
     sys = build_system(table1, 80, 0.0, 0.0)
     res = integrate(sys, hat_initial_condition(table1, 80, 0.5), 20000e-6, 1e-6)
     E = res.trace.energies
     assert E.shape == (20001,)
-    assert np.max(np.abs(E[:2001] - E[0])) <= 5e-12 * E[0]
-    assert np.max(np.abs(E - E[0])) <= 5e-12 * E[0]
+    assert np.max(np.abs(E[:2001] - E[0])) <= 1e-13 * E[0]
+    assert np.max(np.abs(E - E[0])) <= 1e-13 * E[0]
 
 
 @quiet_dt
@@ -194,34 +198,47 @@ def test_keep_states_does_not_change_the_run(params, N, xi1, xi2, dt):
     np.testing.assert_array_equal(kept.trace.boundary_p_dot, kept.states[:, 4 * n - 1])
 
 
-def test_midpoint_makes_two_matrix_vector_products_per_step(toy, monkeypatch):
-    # one dgemv gives a step's midpoint tip rates, one adds the rank-2 gain
-    # correction to the modes; a third product or a solve per step would
-    # show here before it shows in the benchmark
-    calls = 0
-    wrapped = simulate.dgemv
+@quiet_dt
+def test_midpoint_blas_calls_per_block_and_per_step(toy, monkeypatch):
+    # up to BLOCK_NODES nodes a run makes one zgemm and one triangular solve
+    # per block of BLOCK_STEPS steps, and no matrix-vector product; above,
+    # one dgemv gives a step's midpoint tip rates and one adds the rank-2
+    # gain correction.  Another product or solve would show here before it
+    # shows in the benchmark
+    calls = Counter()
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return wrapped(*args, **kwargs)
+    def counted(name):
+        wrapped = getattr(simulate, name)
 
-    monkeypatch.setattr(simulate, "dgemv", counted)
-    sys = build_system(toy, 6, 0.3, 0.4)
-    res = integrate(sys, hat_initial_condition(toy, 6, 0.5), 50e-3, 1e-3)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        return call
+
+    for name in ("zgemm", "dtrsv", "dgemv"):
+        monkeypatch.setattr(simulate, name, counted(name))
+    B = simulate.BLOCK_STEPS
+    steps = 3 * B + 5
+    res = integrate(build_system(toy, 6, 0.3, 0.4), hat_initial_condition(toy, 6, 0.5),
+                    steps * 1e-3, 1e-3)
+    assert res.trace.energies.shape == (steps + 1,)
+    assert calls == {"zgemm": 4, "dtrsv": 4}
+    calls.clear()
+    N = simulate.BLOCK_NODES
+    res = integrate(build_system(toy, N, 0.3, 0.4), hat_initial_condition(toy, N, 0.5),
+                    50e-6, 1e-6)
     assert res.trace.energies.shape == (51,)
-    assert calls == 100
-    # the tridiagonal factor and solve of the channel stepper, and the banded
-    # product and solve of the node-interleaved stepper, are gone
-    assert not any(hasattr(simulate, name) for name in ("dpttrf", "dpttrs", "dsbmv", "dpbtrs"))
+    assert calls == {"dgemv": 100}
 
 
-def _dense_midpoint_step(sys, dt, state):
-    """y+ = y + dt/2 (u + u+), u+ = S^-1 (R u - dt KA y), block order, dense.
+def _dense_midpoint(sys, dt):
+    """The step y+ = y + dt/2 (u + u+), u+ = S^-1 (R u - dt KA y), block
+    order, dense, as a function of the state.
 
-    Evaluated in extended precision with iterative refinement: in double,
-    the entries of R lose KM to (dt^2/4) KA, which alone moves a step by
-    ~1e-10 of the energy norm at table1, N=80, dt=1e-6.
+    Evaluated in extended precision with iterative refinement on one LU
+    factorization of S in double: in double, the entries of R lose KM to
+    (dt^2/4) KA, which alone moves a step by ~1e-10 of the energy norm at
+    table1, N=80, dt=1e-6.
     """
     ld = np.longdouble
     n = sys.N + 1
@@ -232,12 +249,16 @@ def _dense_midpoint_step(sys, dt, state):
     dt = ld(dt)
     S = KM + dt * dt / 4 * KA + dt / 2 * KB
     R = KM - dt * dt / 4 * KA - dt / 2 * KB
-    y, u = state[: 2 * n].astype(ld), state[2 * n:].astype(ld)
-    rhs = R @ u - dt * (KA @ y)
-    u_new = np.zeros_like(rhs)
-    for _ in range(4):
-        u_new += np.linalg.solve(S.astype(float), (rhs - S @ u_new).astype(float))
-    return np.concatenate([y + dt / 2 * (u + u_new), u_new]).astype(float)
+    lu = scipy.linalg.lu_factor(S.astype(float))
+
+    def step(state):
+        y, u = state[: 2 * n].astype(ld), state[2 * n:].astype(ld)
+        rhs = R @ u - dt * (KA @ y)
+        u_new = np.zeros_like(rhs)
+        for _ in range(4):
+            u_new += scipy.linalg.lu_solve(lu, (rhs - S @ u_new).astype(float))
+        return np.concatenate([y + dt / 2 * (u + u_new), u_new]).astype(float)
+    return step
 
 
 def _midpoint_cases():
@@ -266,8 +287,9 @@ def test_banded_step_matches_dense_formula(params, N, xi1, xi2, dt, steps):
     res = integrate(sys, hat_initial_condition(params, N, 0.5), steps * dt, dt,
                     keep_states=True)
     assert res.states.shape == (steps + 1, 4 * (N + 1))
+    step = _dense_midpoint(sys, dt)
     for k in range(steps):
-        err = res.states[k + 1] - _dense_midpoint_step(sys, dt, res.states[k])
+        err = res.states[k + 1] - step(res.states[k])
         assert discrete_energy(sys, err) <= 1e-11**2 * discrete_energy(sys, res.states[k])
     np.testing.assert_allclose(res.trace.energies,
                                [discrete_energy(sys, s) for s in res.states],
@@ -290,12 +312,79 @@ def test_midpoint_tip_rates_follow_the_dense_chain(table1, xi1, xi2):
     sys = build_system(table1, N, xi1, xi2)
     state = hat_initial_condition(table1, N, 0.5)
     trace = integrate(sys, state, steps * dt, dt).trace
-    chain = [state]
+    chain, step = [state], _dense_midpoint(sys, dt)
     for _ in range(steps):
-        chain.append(_dense_midpoint_step(sys, dt, chain[-1]))
+        chain.append(step(chain[-1]))
     want = np.array(chain)[:, sys.tip_index]
     for got, ref in zip((trace.boundary_v_dot, trace.boundary_p_dot), want.T):
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@quiet_dt
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the dense reference needs extended precision")
+def test_block_edges_match_the_dense_step(table1):
+    # runs that end just before, at and just after a block edge, and inside
+    # the third block: every step is the dense midpoint step to 1e-11 in the
+    # energy norm, every energy the discrete energy of its state, and the
+    # final state the last recorded one
+    N, dt, B = 80, 1e-6, simulate.BLOCK_STEPS
+    assert N + 1 <= simulate.BLOCK_NODES
+    sys = build_system(table1, N, 1e6, 1e9)
+    state0 = hat_initial_condition(table1, N, 0.5)
+    step = _dense_midpoint(sys, dt)
+    for steps in (1, B - 1, B, B + 1, 2 * B + 3):
+        res = integrate(sys, state0, steps * dt, dt, keep_states=True)
+        assert res.states.shape == (steps + 1, 4 * (N + 1))
+        for k in range(steps):
+            err = res.states[k + 1] - step(res.states[k])
+            assert discrete_energy(sys, err) <= 1e-11**2 * discrete_energy(sys, res.states[k])
+        np.testing.assert_allclose(res.trace.energies,
+                                   [discrete_energy(sys, s) for s in res.states],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(res.final_state, res.states[-1])
+
+
+@quiet_dt
+def test_blocks_and_single_steps_agree(table1, monkeypatch):
+    # the same run in blocks and one step at a time (the path a mesh above
+    # BLOCK_NODES takes): energies to 1e-12 relative, tip rates to 1e-9 of
+    # their column's largest value
+    N, dt, steps = 80, 1e-6, 1000
+    sys = build_system(table1, N, 1e6, 1e9)
+    state0 = hat_initial_condition(table1, N, 0.5)
+    blocks = integrate(sys, state0, steps * dt, dt).trace
+    monkeypatch.setattr(simulate, "BLOCK_NODES", N)
+    single = integrate(sys, state0, steps * dt, dt).trace
+    np.testing.assert_allclose(blocks.energies, single.energies, rtol=1e-12, atol=0)
+    for name in ("boundary_v_dot", "boundary_p_dot"):
+        got, ref = getattr(blocks, name), getattr(single, name)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@quiet_dt
+@pytest.mark.parametrize("block_nodes", [simulate.BLOCK_NODES, 0], ids=["blocks", "single"])
+def test_non_finite_state_aborts_at_its_step(table1, monkeypatch, block_nodes):
+    # a gain correction 30 times too large makes the run grow until its
+    # energy overflows, inside the second block.  The abort names that step:
+    # the run one step shorter stays finite
+    operators = simulate._midpoint_operators
+
+    def unstable(sys, dt):
+        mu, P, V = operators(sys, dt)
+        return mu, P, 30.0 * V
+
+    monkeypatch.setattr(simulate, "_midpoint_operators", unstable)
+    monkeypatch.setattr(simulate, "BLOCK_NODES", block_nodes)
+    N, dt, B = 80, 1e-6, simulate.BLOCK_STEPS
+    sys = build_system(table1, N, 1e6, 1e9)
+    state0 = hat_initial_condition(table1, N, 0.5)
+    with pytest.raises(RuntimeError, match=r"non-finite state at step \d+ ") as err:
+        integrate(sys, state0, 1000 * dt, dt)
+    k = int(err.value.args[0].split()[4])
+    assert B + 1 < k <= 2 * B
+    E = integrate(sys, state0, (k - 1) * dt, dt).trace.energies
+    assert np.all(np.isfinite(E)) and E.shape == (k,)
 
 
 def test_unresolved_dt_warns(toy):

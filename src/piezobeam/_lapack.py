@@ -6,8 +6,8 @@ the GIL for the whole routine, which numpy's and scipy's own wrappers hold,
 so the eigensolves of a sweep run in parallel on its thread pool.
 
 Some calls run threaded BLAS, whose blocked products round differently at
-another thread count: dgehrd, dhsein and dormhr in `spectral`, and the
-scipy eigendecomposition, real-basis solve and sample products of
+another thread count: dgehrd in `spectral`, and the scipy
+eigendecomposition, real-basis solve and sample products of
 `simulate.modal_trace`.  Each runs inside `one_blas_thread`, which holds
 scipy's OpenBLAS to one thread and then restores its count, so every result
 is the same at every BLAS thread count; the QR iteration (dlahqr) uses no

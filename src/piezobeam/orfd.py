@@ -97,11 +97,10 @@ class BeamModes:
     of xi as Psi D Psi^T.
     """
 
-    T: np.ndarray       # (2, 2) channel transform
-    lam: np.ndarray     # (2,) channel coefficients T^T C2 T
-    sigma: np.ndarray   # (2, n) mode frequencies sqrt(lam_c) f_j
-    tip: np.ndarray     # (2, 2, n) tip values Psi[a, c, j]
-    m_norm: np.ndarray  # (n,) phi_j^T M phi_j = (n/2) cos^2(k_j h/2)
+    T: np.ndarray      # (2, 2) channel transform
+    lam: np.ndarray    # (2,) channel coefficients T^T C2 T
+    sigma: np.ndarray  # (2, n) mode frequencies sqrt(lam_c) f_j
+    tip: np.ndarray    # (2, 2, n) tip values Psi[a, c, j]
 
 
 @dataclass(eq=False)
@@ -199,7 +198,7 @@ class OrfdSystem:
         psi = np.where(np.arange(n) % 2, -1.0, 1.0) / (math.sqrt(2.0) * n * cos)
         R = np.sqrt(np.diag(self.C1))[:, None] * T
         return BeamModes(T=T, lam=lam, sigma=np.sqrt(lam)[:, None] * (2.0 / self.h * sin / cos),
-                         tip=R[:, :, None] * psi, m_norm=0.5 * n * cos**2)
+                         tip=R[:, :, None] * psi)
 
     def to_modes(self, states: np.ndarray) -> np.ndarray:
         """Mode coordinates xi = zeta_y + i zeta_u, shape (..., 2, N+1), of

@@ -24,8 +24,8 @@ Two propagators:
   cannot resolve: damping of a mode at frequency w is suppressed by
   ~4/(w*dt)^2 once w*dt >> 1.  A warning is emitted when dt leaves the
   fastest mode unresolved, judged by `generator_radius_estimate`, which
-  reads a bound on the spectral radius of A_E from the 2x2 Kronecker factor
-  of G, the closed-form norm of the mesh factor and the two tip rates.
+  reads a bound on the spectral radius of A_E from the fastest closed-form
+  mode and the two tip rates.
 * `modal_trace` -- exact propagation of the semi-discrete flow through the
   eigendecomposition of the generator A_E in energy coordinates (see `orfd`),
   on the tip-first copy every eigensolve of A_E uses (`orfd._tip_first`).
@@ -169,16 +169,12 @@ def _midpoint_operators(sys: OrfdSystem, dt: float) -> tuple[np.ndarray, np.ndar
 def generator_radius_estimate(sys: OrfdSystem) -> float:
     """max(||G||_2, ||D||_2) for A_E = [[0, G^T], [-G, -D]] (see `orfd`).
 
-    ||G||_2 is the product of the norms of its Kronecker factors.  The mesh
-    factor L_m^-1 L_Ah has the singular values sqrt of the pencil
-    (A_h, M)'s eigenvalues (4/h^2) tan^2(k_j h/2), k_j = (2j-1) pi/(2L), so
-    its norm is (2/h) tan((2n-1) pi/(4n)) with n = N+1 nodes.  D is diagonal
-    with the two tip rates.  The spectral radius of A_E is at most
-    ||G||_2 + ||D||_2, so this is at least half of it.
+    The singular values of G are the closed-form mode frequencies
+    sys.modes.sigma, and D is diagonal with the two tip rates.  The spectral
+    radius of A_E is at most ||G||_2 + ||D||_2, so this is at least half of
+    it.
     """
-    n = sys.n_nodes
-    mesh = 2.0 / sys.h * math.tan((2 * n - 1) * math.pi / (4 * n))
-    return float(max(np.linalg.norm(sys.coupling, 2) * mesh, sys.tip_rates.max()))
+    return float(max(sys.modes.sigma.max(), sys.tip_rates.max()))
 
 
 def _check_finite(energies: np.ndarray, first: int, times: np.ndarray) -> None:

@@ -22,15 +22,15 @@ entries the reduction mixes; at stiff gains the p-tip rate sets ||A_E||_2
 -1.4691157 at N = 8 to 80.  A large xi1 tip rate is still mixed in: at
 N=8, (1e12, 1e12) the error is 3.6e-5 (ROADMAP item 2).
 
-`spectrum` certifies its dominant eigenvalues: each gets an eigenvector by
-inverse iteration on the same Hessenberg form (LAPACK dhsein, from seeded
-random start vectors), and the residual |A_E x - mu x| / (|x| r) is checked
-against RESIDUAL_RTOL.  r = max(||G||_2, ||D||_2) is read in closed form by
-`simulate.generator_radius_estimate`; G and D are blocks of
-A_E = [[0, G^T], [-G, -D]], so r <= ||A_E||_2 <= 2r, and the residual is at
-least the one relative to ||A_E||_2.  The certificate shows that each mu is
-an eigenvalue of a matrix within that relative distance of A_E; it cannot
-show the error above, which is of the same relative size.
+`spectrum` checks its dominant eigenvalues against the closed-form modes
+of the beam (`OrfdSystem.modes`), not against A_E: in the modes the gains
+enter through two tip values, and the eigenvalues of A_E are the roots of a
+2x2 secular function (`_newton_steps`).  One Newton step on that function,
+from each eigenvalue with its nearest pole removed, is checked against
+RESIDUAL_RTOL in units of r = max(||G||_2, ||D||_2), the lower bound on
+||A_E||_2 read by `simulate.generator_radius_estimate`.  The step is about
+the eigenvalue's own error, so the check also tests the dense assembly of
+A_E against the modes; the eigenvalues are reported as computed.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from ._lapack import one_blas_thread, routine, with_workspace
 from .errors import DomainError
 from .materials import MaterialParams
-from .orfd import OrfdSystem, _from_tip_first, _tip_first, build_system
+from .orfd import OrfdSystem, _tip_first, build_system
 from .simulate import generator_radius_estimate
 
 RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to max(||G||_2, ||D||_2)
@@ -54,22 +54,19 @@ N_CERTIFY = 10  # dominant eigenvalues certified per spectrum, conjugates once
 
 _dgehrd = routine("dgehrd")
 _dlahqr = routine("dlahqr")
-_dhsein = routine("dhsein")
-_dormhr = routine("dormhr")
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Full spectrum at one amplifier pair with a residual certificate.
+    """Full spectrum at one amplifier pair with a Newton-step certificate.
 
     eigenvalues are sorted by decreasing real part and max_real is the
     first one's, both exactly as `_hessenberg_eigvals` returns them.
-    residual_max is the largest |A_E x - mu x| / (|x| r) over the
-    N_CERTIFY dominant eigenvalues mu (conjugates once), each x found by
-    inverse iteration on the Hessenberg form of A_E, with
-    r = `generator_radius_estimate`, the closed-form lower bound
-    max(||G||_2, ||D||_2) on ||A_E||_2.  certified is False when that
-    exceeds RESIDUAL_RTOL or an inverse iteration did not converge.
+    residual_max is the largest |step| / r over the N_CERTIFY dominant
+    eigenvalues (conjugates once), step the Newton step of `_newton_steps`
+    and r = `generator_radius_estimate`, the closed-form lower bound
+    max(||G||_2, ||D||_2) on ||A_E||_2; a non-finite step counts as inf.
+    certified is False when that exceeds RESIDUAL_RTOL.
     """
 
     eigenvalues: np.ndarray
@@ -92,14 +89,14 @@ class SpectrumGrid:
     failures: list = field(default_factory=list)
 
 
-def _hessenberg(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hq, tau) with Q H Q^T = `_tip_first(A)`, by dgehrd (ilo = 1, ihi = n)
-    with scipy's OpenBLAS held to one thread.  hq is that copy in Fortran
-    order, with H on and above the subdiagonal and the reflectors of Q below
-    it, and tau the reflectors' scalars.  Balancing (dgebal) would leave
-    A_E unchanged: A_E^T = J A_E J with J = diag(I, -I) gives every row the
-    norm of its column, and no row is zero off the diagonal
-    (tests/test_orfd.py).  Non-finite input raises np.linalg.LinAlgError.
+def _hessenberg(A: np.ndarray) -> np.ndarray:
+    """hq with Q H Q^T = `_tip_first(A)`, by dgehrd (ilo = 1, ihi = n) with
+    scipy's OpenBLAS held to one thread.  hq is that copy in Fortran order,
+    with H on and above the subdiagonal and the reflectors of Q below it.
+    Balancing (dgebal) would leave A_E unchanged: A_E^T = J A_E J with
+    J = diag(I, -I) gives every row the norm of its column, and no row is
+    zero off the diagonal (tests/test_orfd.py).  Non-finite input raises
+    np.linalg.LinAlgError.
     """
     if not np.isfinite(A).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
@@ -115,7 +112,7 @@ def _hessenberg(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     with one_blas_thread():
         with_workspace(call)
-    return hq, tau
+    return hq
 
 
 def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
@@ -153,50 +150,50 @@ def _form_eigvals(form: np.ndarray, sys: OrfdSystem) -> np.ndarray:
     return _hessenberg_eigvals(h)
 
 
-def _right_eigenvectors(hq: np.ndarray, tau: np.ndarray, lam: np.ndarray,
-                        select: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Right eigenvectors of A at the eigenvalues lam[select], by inverse
-    iteration on the Hessenberg form Q H Q^T of its tip-first copy.
+def _newton_steps(sys: OrfdSystem, lam: np.ndarray) -> np.ndarray:
+    """One Newton step g/g' from each eigenvalue in lam (Im >= 0) on the
+    secular function of the closed-form modes (`OrfdSystem.modes`).
 
-    hq and tau are `_hessenberg(A)`.  lam holds all eigenvalues in LAPACK
-    order (conjugate pairs adjacent, Im > 0 first), and select marks one
-    member of each wanted pair.  dhsein runs inverse iteration on H, O(n^2)
-    per eigenvalue, from seeded random start vectors, so the vectors owe
-    nothing to the eigensolver that produced lam.  dormhr applies Q to the
-    computed columns only.  Both run with scipy's OpenBLAS held to one
-    thread.  Returns the vectors, rolled back to the order of A, as complex
-    columns in the order of lam[select], and whether dhsein reports all
-    converged.
+    In the modes G G^T is diag(sigma^2) and the damping is Psi D Psi^T with
+    D = diag(tip_rates), so lam is an eigenvalue of A_E iff
+    det(lam^2 + diag(sigma^2) + lam Psi D Psi^T) = 0, iff
+    (matrix determinant lemma) det(I + D^1/2 R(lam) D^1/2) = 0 with
+    R(lam) = sum_m Psi_m Psi_m^T lam / (lam^2 + sigma_m^2).  With the pole
+    p = i sigma_k nearest lam, S0 that 2x2 matrix without term k and
+    u = D^1/2 Psi_k,
+
+        g = (lam^2 + sigma_k^2) det S0 + lam u^T adj(S0) u
+
+    is the determinant times lam^2 + sigma_k^2, with no pole at p (Bunch,
+    Nielsen & Sorensen, Numer. Math. 1978).  Each lam^2 + sigma_m^2 is
+    formed as (sigma_m - sigma_k)(sigma_m + sigma_k) + delta (2p + delta),
+    delta = lam - p, exact as lam nears the pole.  A step that overflows
+    is not finite.
     """
-    n = lam.size
-    # dhsein's columns: one per real eigenvalue, Re and Im for each pair
-    pair = lam.imag[select] != 0.0
-    start = np.concatenate([[0], np.cumsum(1 + pair)[:-1]])
-    cols = int(np.sum(1 + pair))
-    V = np.asfortranarray(np.random.default_rng(987654321).standard_normal((n, cols)))
-    ifail = np.zeros(cols, dtype=np.int32)
-    info = ctypes.c_int(0)
-
-    def apply_q(work: np.ndarray, lwork: int) -> None:
-        _dormhr(b"L", b"N", n, cols, 1, n, hq, n, tau, V, n, work, lwork, info)
-        if info.value:
-            raise np.linalg.LinAlgError(f"dormhr rejected argument {-info.value}")
-
-    with one_blas_thread():
-        # INITV = 'U': the start vectors are V's columns.  dhsein may perturb
-        # close eigenvalues in its copies of wr and wi.
-        _dhsein(b"R", b"N", b"U", select.astype(np.int32), n, hq, n,
-                lam.real.copy(), lam.imag.copy(), np.empty(1), 1, V, n,
-                cols, ctypes.c_int(0), np.empty((n + 2) * n), np.empty(1, dtype=np.int32),
-                ifail, info)
-        if info.value < 0:
-            raise np.linalg.LinAlgError(f"dhsein rejected argument {-info.value}")
-        converged = info.value == 0 and not ifail.any()
-        with_workspace(apply_q)
-    V = _from_tip_first(V)
-    X = V[:, start].astype(complex)
-    X.imag[:, pair] = V[:, start[pair] + 1]
-    return X, converged
+    m = sys.modes
+    sigma = m.sigma.ravel()
+    q = np.sqrt(sys.tip_rates)[:, None] * m.tip.reshape(2, -1)  # D^1/2 Psi^T
+    # entries 00, 01, 11 of D^1/2 Psi_m Psi_m^T D^1/2, mode by mode
+    outer = np.array([q[0] * q[0], q[0] * q[1], q[1] * q[1]])
+    k = np.abs(lam.imag[:, None] - sigma).argmin(axis=1)
+    p = 1j * sigma[k]
+    delta = lam - p
+    rows = np.arange(lam.size)
+    with np.errstate(all="ignore"):
+        den = ((sigma - sigma[k, None]) * (sigma + sigma[k, None])
+               + (delta * (2.0 * p + delta))[:, None])
+        w, dw = lam[:, None] / den, (2.0 * sigma**2 - den) / den**2
+        w[rows, k] = dw[rows, k] = 0.0
+        (a, b, d), (da, db, dd) = outer @ w.T, outer @ dw.T
+        a += 1.0
+        d += 1.0
+        ua, ub, ud = outer[:, k]
+        det, ddet = a * d - b * b, da * d + a * dd - 2.0 * b * db
+        quad = ua * d - 2.0 * ub * b + ud * a
+        dquad = ua * dd - 2.0 * ub * db + ud * da
+        pole = delta * (2.0 * p + delta)
+        return (pole * det + lam * quad) / (
+            2.0 * lam * det + pole * ddet + quad + lam * dquad)
 
 
 def spectrum(sys: OrfdSystem) -> SpectrumResult:
@@ -204,29 +201,20 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
 
     The eigensolve runs on the tip-first Hessenberg form (`_hessenberg`), the
     one `spectral_abscissa` and `sweep` use, so max_real equals theirs bit
-    for bit.  The N_CERTIFY eigenvalues mu of largest real part (conjugates
-    counted once) each get a vector x by inverse iteration on that form
-    (`_right_eigenvectors`), and residual_max is the largest
-    |A_E x - mu x| / (|x| r), where r = `generator_radius_estimate`
-    <= ||A_E||_2.  A vector that dhsein reports unconverged leaves the
-    result uncertified rather than raising.
+    for bit.  The N_CERTIFY eigenvalues of largest real part (conjugates
+    counted once) each take one Newton step on the secular function of the
+    closed-form modes (`_newton_steps`), and residual_max is the largest
+    |step| / r, where r = `generator_radius_estimate` <= ||A_E||_2.  A step
+    that overflows leaves the result uncertified rather than raising.
     """
-    A = sys.A_E
-    hq, tau = _hessenberg(A)
-    lam = _form_eigvals(hq, sys)
-    order = np.argsort(-lam.real, kind="stable")
-    # the Im > 0 member of a pair comes first in LAPACK order
-    select = np.zeros(lam.size, dtype=bool)
-    select[order[lam.imag[order] >= 0.0][:N_CERTIFY]] = True
-    X, converged = _right_eigenvectors(hq, tau, lam, select)
-    AX = A @ X.real + 1j * (A @ X.imag)  # A @ X would make a complex copy of A
-    residuals = (np.linalg.norm(AX - X * lam[select], axis=0)
-                 / (np.linalg.norm(X, axis=0) * generator_radius_estimate(sys)))
-    residual_max = float(residuals.max())
-    lam = lam[order]
+    lam = _form_eigvals(_hessenberg(sys.A_E), sys)
+    lam = lam[np.argsort(-lam.real, kind="stable")]
+    steps = _newton_steps(sys, lam[lam.imag >= 0.0][:N_CERTIFY])
+    residual_max = float(np.nan_to_num(np.abs(steps), nan=np.inf).max()
+                         / generator_radius_estimate(sys))
     return SpectrumResult(eigenvalues=lam, max_real=float(lam.real.max()),
                           residual_max=residual_max,
-                          certified=converged and residual_max <= RESIDUAL_RTOL)
+                          certified=residual_max <= RESIDUAL_RTOL)
 
 
 def spectral_abscissa(sys: OrfdSystem, row_form: np.ndarray | None = None) -> float:
@@ -239,7 +227,7 @@ def spectral_abscissa(sys: OrfdSystem, row_form: np.ndarray | None = None) -> fl
     size raises DomainError.
     """
     if row_form is None:
-        row_form, _ = _hessenberg(sys.A_E)
+        row_form = _hessenberg(sys.A_E)
     else:
         n = 4 * sys.n_nodes
         if np.shape(row_form) != (n, n):
@@ -284,7 +272,7 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
         """Write row i's abscissas into grid and its failed cells into failures."""
         xi1 = xi1_values[i]
         try:
-            form, _ = _hessenberg(build_system(params, N, xi1, 0.0).A_E)
+            form = _hessenberg(build_system(params, N, xi1, 0.0).A_E)
         except Exception as exc:  # noqa: BLE001 - every cell of the row fails with it
             failures.extend((i, j, str(exc)) for j in range(xi2_values.size))
             return

@@ -6,12 +6,14 @@ the GIL for the whole routine, which numpy's and scipy's own wrappers hold,
 so the eigensolves of a sweep run in parallel on its thread pool.
 
 Some calls run threaded BLAS, whose blocked products round differently at
-another thread count: dgehrd in `spectral`, and the scipy
-eigendecomposition, real-basis solve and sample products of
-`simulate.modal_trace`.  Each runs inside `one_blas_thread`, which holds
-scipy's OpenBLAS to one thread and then restores its count, so every result
-is the same at every BLAS thread count; the QR iteration (dlahqr) uses no
-threaded BLAS.  The library held is the one the capsules call: its
+another thread count: dgehrd in `spectral`, and the coefficient corrections
+(dgemv) and sample products (dgemm) of `simulate.modal_trace`, and the
+midpoint steps of `simulate.integrate`.  Each runs inside `one_blas_thread`,
+which holds scipy's OpenBLAS to one thread and then restores its count, so
+every result is the same at every BLAS thread count; the QR iteration
+(dlahqr) uses no threaded BLAS.  numpy links its own OpenBLAS, which this
+hold does not reach, so the sums over modes behind the closed-form
+eigenvectors are einsum loops, not numpy products.  The library held is the one the capsules call: its
 thread-count functions are looked up through the capsule extension's own
 handle, whose symbol search covers the libraries the extension links.  A
 scipy that does not bundle OpenBLAS exports no such functions, and the hold

@@ -41,9 +41,9 @@ at the tip rates v_dot(L), p_dot(L) (`tip_rates`, `tip_index`).
 (M^-1)_NN = 4(N+1) exactly because M = (1/4) E^T E and the inverse of the
 bidiagonal stencil E is lower triangular with entries +-1.  D >= 0, so
 A_E + A_E^T <= 0 holds by construction and the eigenvectors are well
-conditioned (condition ~2).  Every eigenvalue analysis and the modal
-propagation run on A_E, in the layout `_tip_first` makes.  The midpoint
-stepper runs in the closed-form modes of the undamped beam (`modes`,
+conditioned (condition ~2).  Every dense eigenvalue analysis runs on A_E,
+in the layout `_tip_first` makes.  The midpoint stepper and the modal
+propagation run in the closed-form modes of the undamped beam (`modes`,
 `BeamModes`): the pencil (A_h, M) has sine modes, and the two
 characteristic channels of (C1, C2) decouple v and p, so the mode
 coordinates xi (to_modes, from_modes; FFTs of length 4(N+1)) carry the
@@ -317,11 +317,6 @@ def _tip_first(A: np.ndarray) -> np.ndarray:
     P = np.empty(A.shape, order="F")
     P[0, 0], P[0, 1:], P[1:, 0], P[1:, 1:] = A[-1, -1], A[-1, :-1], A[:-1, -1], A[:-1, :-1]
     return P
-
-
-def _from_tip_first(X: np.ndarray) -> np.ndarray:
-    """The rows of X, vectors in the order of `_tip_first`, back in the order of z."""
-    return np.roll(X, -1, axis=0)
 
 
 def _times_bidiag(X: np.ndarray, L: tuple) -> np.ndarray:

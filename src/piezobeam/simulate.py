@@ -27,15 +27,17 @@ Two propagators:
   reads a bound on the spectral radius of A_E from the fastest closed-form
   mode and the two tip rates.
 * `modal_trace` -- exact propagation of the semi-discrete flow through the
-  eigendecomposition of the generator A_E in energy coordinates (see `orfd`),
-  on the tip-first copy every eigensolve of A_E uses (`orfd._tip_first`).
-  dt-free; the sample times only decide where the trace is evaluated.  This
-  is the reference for stiff amplifier pairs (realistic constants put the
-  fastest mode near 1e13 rad/s, far beyond any feasible midpoint step).
-  A_E + A_E^T <= 0 and its eigenbasis is well conditioned, so the sampled
-  energy (h/2)|z|^2 is monotone in time wherever the computed eigenvalues
-  are accurate.  Where they are not (ROADMAP item 2) the trace can grow,
-  and a warning says so.
+  eigenpairs of the generator, in the same mode coordinates.  The
+  eigenvalues are those of `spectral.spectrum`, from the dense tip-first
+  reduction of A_E; each eigenvector is closed form, O(N), from the 2x2
+  secular function of the modes that certifies them
+  (`spectral._mode_eigvecs`).  dt-free; the sample times only decide where
+  the trace is evaluated.  This is the reference for stiff amplifier pairs
+  (realistic constants put the fastest mode near 1e13 rad/s, far beyond
+  any feasible midpoint step).  The flow is dissipative and its eigenbasis
+  well conditioned, so the sampled energy (h/2)|xi|^2 is monotone in time
+  wherever the computed eigenvalues are accurate.  Where they are not
+  (ROADMAP item 2) the trace can grow, and a warning says so.
 
 Both take and return states as flat arrays [v, p, v_dot, p_dot] of length
 4(N+1).
@@ -48,17 +50,27 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import ddot, dgemm, dgemv, dtrsv, zgemm
-from scipy.linalg.lapack import dgesv
 
 from .errors import DomainError
 from ._lapack import one_blas_thread
-from .orfd import OrfdSystem, _check_memory, _from_tip_first, _tip_first, check_state
+from .orfd import OrfdSystem, _check_memory, check_state
+from .spectral import _eigvals, _mode_eigvecs, generator_radius_estimate
 
 # Ratio of E_h(0) used as the positivity floor when fitting log-energy, and
 # the largest rise between samples a modal trace may show without a warning.
 ENERGY_FLOOR_ULPS = 1e3 * np.finfo(float).eps
+
+# Modal phases below the smallest normal double are zero: strongly damped
+# roots otherwise feed the sample product subnormal operands, which cost
+# ~2x at (2e6, 1e-2), N=80, and add nothing a double can hold.
+PHASE_FLOOR = np.finfo(float).tiny
+
+# Corrections of the modal coefficients from the residual of x(0) = x0
+# (`modal_trace`).  Two bring x(0) to x0 within roundoff at N = 8 to 80 and
+# the stiff test pairs; the third serves gains like (1e12, 1e12), where
+# the dense eigenvalues are 3.6e-5 off and each step gains ~20x.
+REFINE_STEPS = 3
 
 # Kept midpoint states mapped back to nodes per block.
 STATE_BLOCK = 64
@@ -166,17 +178,6 @@ def _midpoint_operators(sys: OrfdSystem, dt: float) -> tuple[np.ndarray, np.ndar
     return mu, P, V
 
 
-def generator_radius_estimate(sys: OrfdSystem) -> float:
-    """max(||G||_2, ||D||_2) for A_E = [[0, G^T], [-G, -D]] (see `orfd`).
-
-    The singular values of G are the closed-form mode frequencies
-    sys.modes.sigma, and D is diagonal with the two tip rates.  The spectral
-    radius of A_E is at most ||G||_2 + ||D||_2, so this is at least half of
-    it.
-    """
-    return float(max(sys.modes.sigma.max(), sys.tip_rates.max()))
-
-
 def _check_finite(energies: np.ndarray, first: int, times: np.ndarray) -> None:
     """Abort at the first non-finite sample of energies, which holds steps
     first, first + 1, ..."""
@@ -259,6 +260,19 @@ def _step_blocks(xi, mu, P, V, block, half_h, energies, tips, kept, times) -> No
         e *= half_h
         _check_finite(e, start, times)
         xi[...] = states[-1]
+
+
+def _to_nodes(sys: OrfdSystem, xi: np.ndarray, tips: np.ndarray) -> np.ndarray:
+    """Nodal states of the mode rows xi, shape (rows, 2(N+1)), mapped back
+    STATE_BLOCK rows at a time (`OrfdSystem.from_modes`), with tips, shape
+    (rows, 2), as their tip rates."""
+    n = sys.n_nodes
+    states = np.empty((len(xi), 4 * n))
+    for start in range(0, len(xi), STATE_BLOCK):
+        rows = slice(start, start + STATE_BLOCK)
+        states[rows] = sys.from_modes(xi[rows].reshape(-1, 2, n))
+    states[:, sys.tip_index] = tips
+    return states
 
 
 def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
@@ -349,36 +363,37 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     run[0::2] *= -1.0
     trace = EnergyTrace(times=times, energies=energies,
                         boundary_v_dot=tips[:, 0], boundary_p_dot=tips[:, 1])
-    final = sys.from_modes(xi.reshape(2, n))
-    final[sys.tip_index] = tips[-1]
-    states = None
-    if kept is not None:
-        states = np.empty((n_steps + 1, 4 * n))
-        for start in range(0, n_steps + 1, STATE_BLOCK):
-            rows = slice(start, start + STATE_BLOCK)
-            states[rows] = sys.from_modes(kept[rows].reshape(-1, 2, n))
-        states[:, sys.tip_index] = tips
-    return IntegrationResult(trace=trace, final_state=final, states=states)
+    return IntegrationResult(trace=trace, final_state=_to_nodes(sys, xi[None], tips[-1:])[0],
+                             states=None if kept is None else _to_nodes(sys, kept, tips))
 
 
 def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
                 samples: int = 2001, keep_states: bool = False) -> IntegrationResult:
     """Exact semi-discrete flow sampled at `samples` points of [0, T].
 
-    Propagates the energy coordinates z (see `orfd`) through one dense
-    eigendecomposition of the dissipative generator A_E, on its tip-first
-    copy (`orfd._tip_first`); any stiffness is fine.  That eigensolve, the
-    real-basis solve and the sample products hold scipy's OpenBLAS to one
-    thread, so the trace is the same at every BLAS thread count.  The
-    eigenbasis is well conditioned, so the sampled energy (h/2) |z|^2 is
-    monotone in time up to roundoff where the eigenvalues are accurate.
+    Propagates the mode coordinates xi = a + i b (`OrfdSystem.to_modes`)
+    through the eigenpairs of the dissipative generator; any stiffness is
+    fine.  The eigenvalues are those `spectral.spectrum` reports, from the
+    tip-first reduction of A_E (`spectral._eigvals`), and each eigenvector
+    is built in closed form from the secular structure of the modes in
+    O(N) (`spectral._mode_eigvecs`), with its two tip rates.  The
+    generator on x = (a, b) satisfies A^T = J A J for J = diag(I, -I), so
+    J v is the left eigenvector of v and each coefficient is
+    v^T J x0 / v^T J v, corrected REFINE_STEPS times from the residual of
+    x(0) = x0 by one matrix-vector product each, no solve.  The samples
+    are one product of the real basis [Re v, -Im v] with the phases
+    c e^(lam t), which, like the corrections, holds scipy's OpenBLAS to one
+    thread, so the trace is the same at every BLAS thread count.  Phases
+    below PHASE_FLOOR are zero, and a block of samples skips the roots
+    whose phases are below it throughout.  The energy is (h/2)|x|^2 and the
+    tip rates come from the closed-form tip rows of the basis.
     With a gain above zero, a rise above ENERGY_FLOOR_ULPS * E(0) between
     samples (`max_energy_rise`) is warned about: dense eigenvalues carry an
     absolute error ~eps ||A_E||, which can put slow modes in the right
-    half-plane.  Energies and tip rates are read from z; nodal states are
-    recovered for final_state and, with keep_states, for every sample.
-    Requests whose arrays would exceed orfd.MEMORY_BYTES are refused before
-    anything is allocated.
+    half-plane.  final_state and, with keep_states, every sample go back
+    to nodes (`OrfdSystem.from_modes`) and take the trace's tip rates, as
+    in `integrate`.  Requests whose arrays would exceed orfd.MEMORY_BYTES
+    are refused before anything is allocated.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"T must be positive, got {T!r}")
@@ -386,47 +401,69 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
         raise DomainError(f"need an integer number of samples >= 2, got {samples!r}")
     flat = check_state(sys, state0)
     n = sys.N + 1
-    # Inside eig 5 dense 4n x 4n blocks live: A_E, its tip-first copy, and
-    # eig's real eigenvectors and their complex copy.  z takes one row of 4n
-    # doubles per sample, and the nodal states of keep_states ~4 more.
-    _check_memory(8 * 4 * n * (5 * 4 * n + (1 + 4 * bool(keep_states)) * int(samples)),
+    # At most 4 dense 4n x 4n blocks live: A_E with the eigensolve's two
+    # copies, or A_E with the eigenvectors, their real basis and the
+    # secular terms they come from.  The samples take one row of ~4n
+    # doubles each, with keep_states 4n more and the maps back to nodes
+    # ~20n per state of a block.
+    _check_memory(8 * (4 * n * (4 * 4 * n + (1 + bool(keep_states)) * int(samples))
+                       + bool(keep_states) * 20 * n * STATE_BLOCK),
                   f"modal trace at N={sys.N} with {samples} samples", "samples")
     times = np.linspace(0.0, T, samples)
     dt = T / (samples - 1)
     K = math.isqrt(samples - 1) + 1
-    z = np.empty((samples, 4 * n))
 
+    # A_E is real, so its eigenpairs are closed under conjugation: keep
+    # Im >= 0 and let each strictly complex pair contribute 2 Re(c v e^(lam t)).
+    # Slowest decay first, so the roots still above the floor are a prefix.
+    lam = _eigvals(sys)
+    lam = lam[lam.imag >= 0.0]
+    lam = lam[np.argsort(-lam.real, kind="stable")]
+    a, b, tips = _mode_eigvecs(sys, lam)
+    # rows: Re and Im of each mode side by side (the real view of xi), then
+    # the two tip rates; a tip entry of z is sqrt(c_a / 4n) times the rate
+    V = np.empty((4 * n + 2, lam.size), dtype=complex)
+    V[0:4 * n:2], V[1:4 * n:2] = a.T, b.T
+    V[4 * n:] = (2.0 * math.sqrt(n) / np.sqrt(np.diag(sys.C1)))[:, None] * tips.T
+    del a, b, tips
+    # x(t) = Re(V p) = [Re v_j, -Im v_j]_j (p as floats): Fortran order, so
+    # dgemm reads every prefix of its columns in place
+    W = np.asfortranarray(V.conj().view(float))
+    # the left eigenvectors (J v)^T, and 1 / v^T J v with each complex pair's 2
+    left = V[:4 * n].T * np.tile([1.0, -1.0], 2 * n)
+    weight = np.where(lam.imag > 0.0, 2.0, 1.0) / np.einsum("rm,mr->r", left, V[:4 * n])
+    del V
+    x0 = sys.to_modes(flat).ravel().view(float)
+
+    z = np.empty((samples, 4 * n + 2))
     with one_blas_thread():
-        lam, V = scipy.linalg.eig(_tip_first(sys.A_E), overwrite_a=True)
-        # A_E is real, so its eigenpairs are closed under conjugation: keep
-        # Im >= 0 and let each strictly complex pair contribute 2 Re(c v e^(lam t)).
-        keep = lam.imag >= 0.0
-        lam, V = lam[keep], V[:, keep]
-        cplx = lam.imag > 0.0
-        # Real basis W = [Re V, Im V[:, cplx]] in the order of z: z0 = W [a; b]
-        # is one real solve, and c = a - i b gives
-        # z(t) = Re(V (c e^(lam t))) = W [Re p; -Im p[cplx]].
-        basis = _from_tip_first(np.hstack([V.real, V.imag[:, cplx]]))
-        del V
-        _, _, ab, info = dgesv(basis, sys.to_energy_coords(flat))
-        coeff = ab[: lam.size].astype(complex)
-        coeff.imag[cplx] = -ab[lam.size:]
-        if info or not (np.all(np.isfinite(lam.view(float)))
-                        and np.all(np.isfinite(coeff.view(float)))):
-            raise RuntimeError("eigendecomposition of the generator is singular or non-finite")
+        # the projections, then REFINE_STEPS corrections from the residual
+        # of x(0) = x0: the vectors are built on dense eigenvalues, off by
+        # ~eps ||A_E||, and the projections alone leave x(0) 1e-11 to 1e-7
+        # from x0
+        coeff = weight * np.einsum("rm,m->r", left, x0)
+        for _ in range(REFINE_STEPS):
+            r = x0 - dgemv(1.0, W, coeff.view(float))[:4 * n]
+            coeff += weight * np.einsum("rm,m->r", left, r)
+        del left
+        if not (np.all(np.isfinite(coeff.view(float))) and np.all(np.isfinite(W))):
+            raise RuntimeError("eigenvectors of the generator are singular or non-finite")
 
         # Sample i*K + j of the linspace grid has the phases
         # exp(lam (i K dt)) * exp(lam (j dt)); one block of K samples at a
         # time keeps the complex phases small.
         fine = np.exp(np.outer(np.arange(K) * dt, lam)) * coeff
         for start in range(0, samples, K):
-            p = np.exp(lam * (start * dt)) * fine[: samples - start]
-            # z's block transposed, W [Re p; -Im p[cplx]]^T, in place; W (like eig's
-            # vectors) and the transposed C-order blocks are Fortran-order: no copies
-            dgemm(1.0, basis, np.hstack([p.real, -p.imag[:, cplx]]).T,
-                  c=z[start:start + len(p)].T, overwrite_c=1)
+            rows = slice(start, min(start + K, samples))
+            alive = np.flatnonzero(np.abs(coeff) * np.exp(lam.real * (start * dt)) >= PHASE_FLOOR)
+            m = alive[-1] + 1 if alive.size else 1
+            p = (np.exp(lam[:m] * (start * dt)) * fine[:rows.stop - start, :m]).view(float)
+            p[np.abs(p) < PHASE_FLOOR] = 0.0
+            dgemm(1.0, W[:, :2 * m], p.T, c=z[rows].T, overwrite_c=1)
+    del W
 
-    energies = 0.5 * sys.h * np.einsum("ij,ij->i", z, z)
+    x = z[:, :4 * n]
+    energies = 0.5 * sys.h * np.einsum("ij,ij->i", x, x)
     rise = max_energy_rise(energies)
     # at zero gains the flow conserves energy and the trace wobbles by roundoff
     if (sys.xi1 or sys.xi2) and rise > ENERGY_FLOOR_ULPS:
@@ -434,14 +471,12 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
             f"modal energy rose by {rise:.3g} E0 between two samples, which the "
             "dissipative flow rules out: the generator eigenvalues are inaccurate "
             "at these gains (ROADMAP item 2)", RuntimeWarning, stacklevel=2)
-    # u = C1^-1/2 Zu L_m^-1 and L_m is lower triangular, so the tip entry of
-    # each rate block is its z entry over sqrt(c_a) L_m[N, N]
-    tip = z[:, sys.tip_index] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[0][-1])
+    tips = z[:, 4 * n:]
+    xi = x.view(complex)
     trace = EnergyTrace(times=times, energies=energies,
-                        boundary_v_dot=tip[:, 0], boundary_p_dot=tip[:, 1])
-    return IntegrationResult(trace=trace,
-                             final_state=sys.from_energy_coords(z[-1]),
-                             states=sys.from_energy_coords(z) if keep_states else None)
+                        boundary_v_dot=tips[:, 0].copy(), boundary_p_dot=tips[:, 1].copy())
+    return IntegrationResult(trace=trace, final_state=_to_nodes(sys, xi[-1:], tips[-1:])[0],
+                             states=_to_nodes(sys, xi, tips) if keep_states else None)
 
 
 def max_energy_rise(energies: np.ndarray) -> float:

@@ -28,9 +28,14 @@ enter through two tip values, and the eigenvalues of A_E are the roots of a
 2x2 secular function (`_newton_steps`).  One Newton step on that function,
 from each eigenvalue with its nearest pole removed, is checked against
 RESIDUAL_RTOL in units of r = max(||G||_2, ||D||_2), the lower bound on
-||A_E||_2 read by `simulate.generator_radius_estimate`.  The step is about
+||A_E||_2 read by `generator_radius_estimate`.  The step is about
 the eigenvalue's own error, so the check also tests the dense assembly of
 A_E against the modes; the eigenvalues are reported as computed.
+
+`simulate.modal_trace` takes its eigenvalues from the same reduction
+(`_eigvals`) and builds each eigenvector from the same secular structure
+in O(n) (`_mode_eigvecs`), so this module is the eigenvalue core that
+spectra, sweeps and modal traces share.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from ._lapack import one_blas_thread, routine, with_workspace
 from .errors import DomainError
 from .materials import MaterialParams
 from .orfd import OrfdSystem, _tip_first, build_system
-from .simulate import generator_radius_estimate
 
 RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to max(||G||_2, ||D||_2)
 N_CERTIFY = 10  # dominant eigenvalues certified per spectrum, conjugates once
@@ -150,6 +154,71 @@ def _form_eigvals(form: np.ndarray, sys: OrfdSystem) -> np.ndarray:
     return _hessenberg_eigvals(h)
 
 
+def _eigvals(sys: OrfdSystem) -> np.ndarray:
+    """All eigenvalues of sys.A_E, in LAPACK order: the tip-first reduction
+    (`_hessenberg`) and its QR iteration (`_form_eigvals`).  `spectrum` and
+    `simulate.modal_trace` both take theirs from here, so they report the
+    same values bit for bit."""
+    return _form_eigvals(_hessenberg(sys.A_E), sys)
+
+
+def generator_radius_estimate(sys: OrfdSystem) -> float:
+    """max(||G||_2, ||D||_2) for A_E = [[0, G^T], [-G, -D]] (see `orfd`).
+
+    The singular values of G are the closed-form mode frequencies
+    sys.modes.sigma, and D is diagonal with the two tip rates.  The spectral
+    radius of A_E is at most ||G||_2 + ||D||_2, so this is at least half of
+    it.
+    """
+    return float(max(sys.modes.sigma.max(), sys.tip_rates.max()))
+
+
+@dataclass(frozen=True)
+class _Secular:
+    """The secular function of the closed-form modes at each lam (Im >= 0),
+    with the pole nearest lam removed (`_newton_steps`).
+
+    q is D^1/2 Psi^T, shape (2, 2n), and outer holds the entries 00, 01, 11
+    of q_m q_m^T mode by mode; k is the index of the pole i sigma_k nearest
+    each lam, and den[r, m] = lam_r^2 + sigma_m^2.  w = lam / den with
+    w[r, k_r] = 0, and s0 holds the entries 00, 01, 11 of
+    S0 = I + D^1/2 R(lam) D^1/2 without term k.  The sums over the modes
+    here and in its users are einsum loops, not numpy products: numpy's
+    own OpenBLAS, which `one_blas_thread` does not hold, rounds them
+    differently at another thread count once there are ~100 roots.
+    """
+
+    sigma: np.ndarray
+    q: np.ndarray
+    outer: np.ndarray
+    k: np.ndarray
+    den: np.ndarray
+    w: np.ndarray
+    s0: tuple
+
+
+def _secular(sys: OrfdSystem, lam: np.ndarray) -> _Secular:
+    """`_Secular` at lam.  Each lam^2 + sigma_m^2 is formed as
+    (sigma_m - sigma_k)(sigma_m + sigma_k) + delta (2p + delta),
+    delta = lam - p and p = i sigma_k, exact as lam nears the pole."""
+    m = sys.modes
+    sigma = m.sigma.ravel()
+    q = np.sqrt(sys.tip_rates)[:, None] * m.tip.reshape(2, -1)
+    outer = np.array([q[0] * q[0], q[0] * q[1], q[1] * q[1]])
+    k = np.abs(lam.imag[:, None] - sigma).argmin(axis=1)
+    p = 1j * sigma[k]
+    delta = lam - p
+    with np.errstate(all="ignore"):
+        den = ((sigma - sigma[k, None]) * (sigma + sigma[k, None])
+               + (delta * (2.0 * p + delta))[:, None])
+        w = lam[:, None] / den
+        w[np.arange(lam.size), k] = 0.0
+        a, b, d = np.einsum("em,rm->er", outer, w)
+    a += 1.0
+    d += 1.0
+    return _Secular(sigma=sigma, q=q, outer=outer, k=k, den=den, w=w, s0=(a, b, d))
+
+
 def _newton_steps(sys: OrfdSystem, lam: np.ndarray) -> np.ndarray:
     """One Newton step g/g' from each eigenvalue in lam (Im >= 0) on the
     secular function of the closed-form modes (`OrfdSystem.modes`).
@@ -165,35 +234,61 @@ def _newton_steps(sys: OrfdSystem, lam: np.ndarray) -> np.ndarray:
         g = (lam^2 + sigma_k^2) det S0 + lam u^T adj(S0) u
 
     is the determinant times lam^2 + sigma_k^2, with no pole at p (Bunch,
-    Nielsen & Sorensen, Numer. Math. 1978).  Each lam^2 + sigma_m^2 is
-    formed as (sigma_m - sigma_k)(sigma_m + sigma_k) + delta (2p + delta),
-    delta = lam - p, exact as lam nears the pole.  A step that overflows
-    is not finite.
+    Nielsen & Sorensen, Numer. Math. 1978), built by `_secular`.  A step
+    that overflows is not finite.
     """
-    m = sys.modes
-    sigma = m.sigma.ravel()
-    q = np.sqrt(sys.tip_rates)[:, None] * m.tip.reshape(2, -1)  # D^1/2 Psi^T
-    # entries 00, 01, 11 of D^1/2 Psi_m Psi_m^T D^1/2, mode by mode
-    outer = np.array([q[0] * q[0], q[0] * q[1], q[1] * q[1]])
-    k = np.abs(lam.imag[:, None] - sigma).argmin(axis=1)
-    p = 1j * sigma[k]
-    delta = lam - p
+    s = _secular(sys, lam)
     rows = np.arange(lam.size)
+    sigma, den = s.sigma, s.den
     with np.errstate(all="ignore"):
-        den = ((sigma - sigma[k, None]) * (sigma + sigma[k, None])
-               + (delta * (2.0 * p + delta))[:, None])
-        w, dw = lam[:, None] / den, (2.0 * sigma**2 - den) / den**2
-        w[rows, k] = dw[rows, k] = 0.0
-        (a, b, d), (da, db, dd) = outer @ w.T, outer @ dw.T
-        a += 1.0
-        d += 1.0
-        ua, ub, ud = outer[:, k]
+        dw = (2.0 * sigma**2 - den) / den**2
+        dw[rows, s.k] = 0.0
+        a, b, d = s.s0
+        da, db, dd = np.einsum("em,rm->er", s.outer, dw)
+        ua, ub, ud = s.outer[:, s.k]
         det, ddet = a * d - b * b, da * d + a * dd - 2.0 * b * db
         quad = ua * d - 2.0 * ub * b + ud * a
         dquad = ua * dd - 2.0 * ub * db + ud * da
-        pole = delta * (2.0 * p + delta)
+        pole = den[rows, s.k]
         return (pole * det + lam * quad) / (
             2.0 * lam * det + pole * ddet + quad + lam * dquad)
+
+
+def _mode_eigvecs(sys: OrfdSystem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, tips): right eigenvectors of the generator in the mode
+    coordinates, one row per eigenvalue in lam (Im >= 0), in closed form.
+
+    The flow of xi = a + i b (`OrfdSystem.to_modes`) is a' = sigma b,
+    b' = -sigma a - Psi D Psi^T b, so an eigenvector for lam has
+    a = sigma b / lam and (lam^2 + sigma^2) b = -lam Psi D Psi^T b.  With
+    `_secular`'s pole k, S0 and u = D^1/2 Psi_k, and c = S0^-1 u,
+
+        b_k = 1,   b_m = -lam q_m^T c / (lam^2 + sigma_m^2)   (m != k)
+
+    solves it wherever g(lam) = 0 (`_newton_steps`): c spans the null
+    space of S(lam) = S0 + lam u u^T / (lam^2 + sigma_k^2).  No term
+    divides by lam^2 + sigma_k^2, so where the damping does not reach the
+    root (u = 0: both gains zero, or a root on a pole when gamma = 0 and
+    one gain is zero) b is the pure mode e_k.  The tip values Psi^T b
+    satisfy D^1/2 Psi^T b = c, so a tip with a gain reads
+    c_a / sqrt(d_a) without the mode sum, which cancels at a nearly clamped
+    tip; a tip without one reads the sum.  A 2x2 S0 that is singular or
+    overflows makes the rows non-finite.
+    """
+    s = _secular(sys, lam)
+    a, b, d = s.s0
+    u0, u1 = s.q[:, s.k]
+    rows = np.arange(lam.size)
+    d_tip = sys.tip_rates
+    with np.errstate(all="ignore"):
+        det = a * d - b * b
+        c = np.stack([(d * u0 - b * u1) / det, (a * u1 - b * u0) / det], axis=1)
+        vb = -s.w * np.einsum("ra,am->rm", c, s.q)
+        vb[rows, s.k] = 1.0
+        va = s.sigma * vb / lam[:, None]
+        tips = np.where(d_tip > 0.0, c / np.sqrt(d_tip),
+                        np.einsum("rm,am->ra", vb, sys.modes.tip.reshape(2, -1)))
+    return va, vb, tips
 
 
 def spectrum(sys: OrfdSystem) -> SpectrumResult:
@@ -207,7 +302,7 @@ def spectrum(sys: OrfdSystem) -> SpectrumResult:
     |step| / r, where r = `generator_radius_estimate` <= ||A_E||_2.  A step
     that overflows leaves the result uncertified rather than raising.
     """
-    lam = _form_eigvals(_hessenberg(sys.A_E), sys)
+    lam = _eigvals(sys)
     lam = lam[np.argsort(-lam.real, kind="stable")]
     steps = _newton_steps(sys, lam[lam.imag >= 0.0][:N_CERTIFY])
     residual_max = float(np.nan_to_num(np.abs(steps), nan=np.inf).max()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from piezobeam import TABLE1, MaterialParams, derive_constants, simulate
+from piezobeam import TABLE1, MaterialParams, derive_constants, simulate, spectral
 from piezobeam.errors import DomainError
 from piezobeam.orfd import _channel_transform, build_system, discrete_energy, hat_initial_condition
 from piezobeam.simulate import (
@@ -17,6 +17,7 @@ from piezobeam.simulate import (
     integrate,
     modal_trace,
 )
+from piezobeam.spectral import spectrum
 
 from conftest import TOY, dense_blocks, random_material, run_under_blas_threads
 
@@ -26,12 +27,23 @@ quiet_dt = pytest.mark.filterwarnings(
 # E(0.1)/E0 from the hat start at N=8: 60-digit mpmath expm of the float64
 # A_E, printed by tests/oracle_modal_energy.py.  At these stiff pairs the
 # p-tip rate (3.7e19 and 2.2e20) sets ||A_E||_2; the tip-first
-# eigendecomposition reads them to 2.6e-8 and 4.7e-8 relative, where eig
+# eigenvalues read them to 2.6e-8 and 4.7e-8 relative, where eig
 # on A_E in z order read 0.0183 and 8.6e11
 MODAL_ENERGY = {
     (8, 2.718e6, 1.137e11): 0.14307758483328980319,
     (8, 8.8e5, 6.8e11): 0.6933967521097056269,
 }
+# The two tip entries of z(0.1) at the same keys, printed by the same
+# script: sqrt(c_a) L_m[N, N] times the tip rates v_dot(L), p_dot(L).  The
+# closed-form tip rates read them to 3.7e-7 and 2.9e-7 relative.
+MODAL_TIPS = {
+    (8, 2.718e6, 1.137e11): (-0.079680084068402291312, 0.00186342864080394747),
+    (8, 8.8e5, 6.8e11): (-0.19494831674751916726, 0.00054761647984008365651),
+}
+
+# gamma = 0 decouples v and p: with one gain zero, the undamped channel's
+# roots sit exactly on its poles
+TOY_UNCOUPLED = MaterialParams(L=1.0, rho=1.0, mu=1.0, alpha=2.0, gamma=0.0, beta=1.0)
 
 
 # ---------------------------------------------------------------- integrate
@@ -523,7 +535,7 @@ def test_modal_trace_shapes_and_energy_consistency(toy):
 def test_modal_handles_stiff_constants(table1):
     # the implicit stepper cannot resolve the fast branch at any practical
     # dt; the eigenbasis route has no step-size restriction at all.  The
-    # nodal states come back from the energy coordinates and must carry the
+    # nodal states come back from the modes and must carry the
     # same energies and tip rates as the trace read from z.
     sys = build_system(table1, 24, 1e6, 1e9)
     sv = hat_initial_condition(table1, 24, 0.5)
@@ -570,10 +582,116 @@ def test_modal_energy_matches_the_oracle(table1, key):
     np.testing.assert_allclose(E[-1] / E[0], MODAL_ENERGY[key], rtol=1e-6)
 
 
+@pytest.mark.parametrize("key", sorted(MODAL_TIPS))
+def test_modal_tip_rates_match_the_oracle(table1, key):
+    # at these keys the p tip is nearly clamped (tip rates 3.7e19 and
+    # 2.2e20), where a sum over the modes cancels
+    sys = build_system(table1, *key)
+    tr = modal_trace(sys, hat_initial_condition(table1, key[0], 0.5), 0.1).trace
+    want = np.array(MODAL_TIPS[key]) / (np.sqrt(np.diag(sys.C1)) * sys.L_m[0][-1])
+    np.testing.assert_allclose([tr.boundary_v_dot[-1], tr.boundary_p_dot[-1]], want, rtol=1e-6)
+
+
+@pytest.mark.parametrize("key", [(80, 1e6, 1e9), (8, 2.718e6, 1.137e11)])
+def test_modal_trace_starts_at_the_initial_state(table1, key):
+    # the coefficients project the start onto eigenvectors built on the
+    # dense eigenvalues; their residual corrections bring the first sample
+    # back to it (without them the profiles were 1e-9 off and E(0) 7e-13)
+    N = key[0]
+    sys = build_system(table1, *key)
+    sv = hat_initial_condition(table1, N, 0.5)
+    res = modal_trace(sys, sv, 0.1, samples=11, keep_states=True)
+    np.testing.assert_allclose(res.states[0, :2 * (N + 1)], sv[:2 * (N + 1)], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(res.trace.energies[0], discrete_energy(sys, sv), rtol=1e-13)
+
+
+def test_modal_trace_takes_the_spectrum_eigenvalues_bit_for_bit(table1, monkeypatch):
+    seen = []
+    real_eigvals = spectral._hessenberg_eigvals
+
+    def recorded(h):
+        seen.append(real_eigvals(h))
+        return seen[-1]
+
+    monkeypatch.setattr(spectral, "_hessenberg_eigvals", recorded)
+    modal_trace(build_system(table1, 80, 1e6, 1e9), hat_initial_condition(table1, 80, 0.5),
+                0.1, samples=11)
+    lam = seen[0]
+    np.testing.assert_array_equal(lam[np.argsort(-lam.real, kind="stable")],
+                                  spectrum(build_system(table1, 80, 1e6, 1e9)).eigenvalues)
+
+
+def _reference_trace(sys, state0, times, digits=None):
+    """Energies and tip rates of z(t) = expm(t A_E) z0 at each of times:
+    scipy's expm, or with digits mpmath's at that precision."""
+    z0 = sys.to_energy_coords(state0)
+    if digits is None:
+        z = np.array([scipy.linalg.expm(t * sys.A_E) @ z0 for t in times])
+    else:
+        with mpmath.workdps(digits):
+            A, z0 = mpmath.matrix(sys.A_E.tolist()), mpmath.matrix(z0.tolist())
+            z = np.array([[float(x) for x in mpmath.expm(mpmath.mpf(t) * A) * z0]
+                          for t in times])
+    tips = z[:, sys.tip_index] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[0][-1])
+    return 0.5 * sys.h * np.einsum("ij,ij->i", z, z), tips
+
+
+@pytest.mark.parametrize("params, gains", [
+    (TOY, (0.2, 0.9)), (TOY, (0.0, 0.0)), (TOY, (0.5, 0.0)), (TOY, (0.0, 0.5)),
+    (TOY_UNCOUPLED, (0.5, 0.3)), (TOY_UNCOUPLED, (0.5, 0.0)), (TOY_UNCOUPLED, (0.0, 0.0)),
+], ids=["toy", "toy-undamped", "toy-xi2-zero", "toy-xi1-zero",
+        "gamma0", "gamma0-xi2-zero", "gamma0-undamped"])
+def test_closed_form_eigenvectors_match_the_matrix_exponential(params, gains):
+    # the eigenvectors are the pure modes where the damping does not reach
+    # a root, and a tip without a gain reads its rate as a mode sum
+    sys = build_system(params, 6, *gains)
+    sv = hat_initial_condition(params, 6, 0.5)
+    tr = modal_trace(sys, sv, 2.0, samples=21).trace
+    E, tips = _reference_trace(sys, sv, tr.times)
+    np.testing.assert_allclose(tr.energies, E, rtol=0, atol=1e-12 * E[0])
+    for got, want in zip((tr.boundary_v_dot, tr.boundary_p_dot), tips.T):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.abs(want).max())
+    if gains == (0.0, 0.0):
+        # undamped: the energy is kept to roundoff (it drifts 2.2e-15)
+        assert np.abs(tr.energies - tr.energies[0]).max() <= 1e-14 * tr.energies[0]
+    else:
+        assert tr.energies[-1] < 0.7 * tr.energies[0]
+
+
+@pytest.mark.parametrize("N, gains", [(8, (1e6, 0.0)), (4, (0.0, 1e9))])
+def test_closed_form_eigenvectors_with_one_gain_zero_match_mpmath(table1, N, gains):
+    # the tip with no gain has no closed-form rate c_a / sqrt(d_a): taken
+    # from it, the rate would be 0/0.  At T=1e-3 the energies agree with a
+    # 30-digit expm to 5.8e-10 E0 and the rates to 9.4e-8
+    sys = build_system(table1, N, *gains)
+    sv = hat_initial_condition(table1, N, 0.5)
+    tr = modal_trace(sys, sv, 1e-3, samples=2).trace
+    E, tips = _reference_trace(sys, sv, tr.times[-1:], digits=30)
+    np.testing.assert_allclose(tr.energies[-1], E[0], rtol=0, atol=1e-8 * tr.energies[0])
+    np.testing.assert_allclose([tr.boundary_v_dot[-1], tr.boundary_p_dot[-1]], tips[0],
+                               rtol=1e-6)
+
+
+def test_flushing_underflowed_phases_keeps_the_energies(table1, monkeypatch):
+    # at (2e6, 1e-2) the fast roots are damped below the smallest normal
+    # double within the run, and unflushed their phases feed the sample
+    # product ~6,200 subnormal entries; zeroing them, and skipping roots
+    # that are below the floor for a whole block, changes no energy beyond
+    # 1e-12 E0
+    sys = build_system(table1, 80, 2e6, 1e-2)
+    sv = hat_initial_condition(table1, 80, 0.5)
+    E = modal_trace(sys, sv, 0.1).trace.energies
+    monkeypatch.setattr(simulate, "PHASE_FLOOR", 0.0)
+    unflushed = modal_trace(sys, sv, 0.1).trace.energies
+    assert E[-1] < 1e-40 * E[0]
+    np.testing.assert_allclose(E, unflushed, rtol=0, atol=1e-12 * unflushed[0])
+
+
 def test_modal_trace_does_not_depend_on_blas_threads():
     # the designed pair, and an out-of-box pair of the point_check benchmark
-    # (seed 2); the eigendecomposition, the real-basis solve and the sample
-    # products all run on scipy's OpenBLAS held to one thread, so the figures
+    # (seed 2); the eigenvalue reduction, the coefficient corrections and
+    # the sample products all run on scipy's OpenBLAS held to one thread, and
+    # the sums behind the closed-form vectors are einsum loops, so the figures
     # agree bit for bit
     code = (
         "import json, warnings\n"

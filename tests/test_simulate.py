@@ -17,7 +17,6 @@ from piezobeam.simulate import (
     integrate,
     modal_trace,
 )
-from piezobeam.spectral import spectrum
 
 from conftest import TOY, dense_blocks, random_material, run_under_blas_threads
 
@@ -618,7 +617,7 @@ def test_modal_trace_takes_the_spectrum_eigenvalues_bit_for_bit(table1, monkeypa
                 0.1, samples=11)
     lam = seen[0]
     np.testing.assert_array_equal(lam[np.argsort(-lam.real, kind="stable")],
-                                  spectrum(build_system(table1, 80, 1e6, 1e9)).eigenvalues)
+                                  spectral.spectrum(build_system(table1, 80, 1e6, 1e9)).eigenvalues)
 
 
 def _reference_trace(sys, state0, times, digits=None):

@@ -50,7 +50,7 @@ coordinates xi (to_modes, from_modes; FFTs of length 4(N+1)) carry the
 energy as (h/2)|xi|^2 and the gains act on them through two tip values.
 M and A_h are held as stencils and B as its entry 1/h; their Cholesky
 factors L_m and L_Ah are bidiagonal, in closed form, and map nodal states
-[y; u] to z and back with L_C2 (to_energy_coords, from_energy_coords).
+[y; u] to z with L_C2 (to_energy_coords).
 Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check.
 """
 
@@ -263,14 +263,6 @@ class OrfdSystem:
         zy = self.L_C2.T @ _times_bidiag(s[:, :2], self.L_Ah)
         zu = np.sqrt(np.diag(self.C1))[:, None] * _times_bidiag(s[:, 2:], self.L_m)
         return np.concatenate([zy, zu], axis=1).reshape(np.shape(states))
-
-    def from_energy_coords(self, z: np.ndarray) -> np.ndarray:
-        """Nodal states [y; u] of energy coordinates z, shape (..., 4(N+1))."""
-        blocks = np.asarray(z, dtype=float).reshape(-1, 4, self.n_nodes)
-        # y = L_C2^-T Zy L_Ah^-1 and u = C1^-1/2 Zu L_m^-1
-        y = np.linalg.solve(self.L_C2.T, _solve_right(blocks[:, :2], self.L_Ah))
-        u = _solve_right(blocks[:, 2:], self.L_m) / np.sqrt(np.diag(self.C1))[:, None]
-        return np.concatenate([y, u], axis=1).reshape(np.shape(z))
 
 
 def _channel_transform(sys: OrfdSystem) -> tuple[np.ndarray, np.ndarray]:

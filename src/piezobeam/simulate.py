@@ -72,6 +72,13 @@ PHASE_FLOOR = np.finfo(float).tiny
 # the dense eigenvalues are 3.6e-5 off and each step gains ~20x.
 REFINE_STEPS = 3
 
+# Relative distance from x0 that the corrected start of a modal trace may
+# keep without a warning.  It reads ~1e-16 where the eigenvalues are
+# accurate; a root whose dense value is off by more than itself (|lam|
+# below ~eps ||A_E||) gets a vector of another root, and the basis then
+# misses a direction.
+START_RTOL = 1e-8
+
 # Kept midpoint states mapped back to nodes per block.
 STATE_BLOCK = 64
 
@@ -386,7 +393,8 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     thread, so the trace is the same at every BLAS thread count.  Phases
     below PHASE_FLOOR are zero, and a block of samples skips the roots
     whose phases are below it throughout.  The energy is (h/2)|x|^2 and the
-    tip rates come from the closed-form tip rows of the basis.
+    tip rates come from the closed-form tip rows of the basis.  A start
+    that the corrections leave more than START_RTOL from x0 is warned about.
     With a gain above zero, a rise above ENERGY_FLOOR_ULPS * E(0) between
     samples (`max_energy_rise`) is warned about: dense eigenvalues carry an
     absolute error ~eps ||A_E||, which can put slow modes in the right
@@ -446,6 +454,7 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
             r = x0 - dgemv(1.0, W, coeff.view(float))[:4 * n]
             coeff += weight * np.einsum("rm,m->r", left, r)
         del left
+        off = np.linalg.norm(x0 - dgemv(1.0, W, coeff.view(float))[:4 * n])
         if not (np.all(np.isfinite(coeff.view(float))) and np.all(np.isfinite(W))):
             raise RuntimeError("eigenvectors of the generator are singular or non-finite")
 
@@ -461,6 +470,12 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
             p[np.abs(p) < PHASE_FLOOR] = 0.0
             dgemm(1.0, W[:, :2 * m], p.T, c=z[rows].T, overwrite_c=1)
     del W
+    if off > START_RTOL * np.linalg.norm(x0):
+        warnings.warn(
+            f"modal trace starts {off / np.linalg.norm(x0):.3g} (relative) from the "
+            "initial state: its closed-form eigenvectors, built on inaccurate "
+            "eigenvalues, do not span it at these gains (ROADMAP item 2)",
+            RuntimeWarning, stacklevel=2)
 
     x = z[:, :4 * n]
     energies = 0.5 * sys.h * np.einsum("ij,ij->i", x, x)

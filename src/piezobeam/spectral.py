@@ -173,39 +173,28 @@ def generator_radius_estimate(sys: OrfdSystem) -> float:
     return float(max(sys.modes.sigma.max(), sys.tip_rates.max()))
 
 
-@dataclass(frozen=True)
-class _Secular:
-    """The secular function of the closed-form modes at each lam (Im >= 0),
-    with the pole nearest lam removed (`_newton_steps`).
+def _secular(sys: OrfdSystem, lam: np.ndarray, k: np.ndarray | None = None) -> tuple:
+    """(q, outer, k, den, w, s0): the secular function of the closed-form
+    modes at each lam (Im >= 0), with pole k removed, by default the pole
+    nearest lam (`_newton_steps`).
 
     q is D^1/2 Psi^T, shape (2, 2n), and outer holds the entries 00, 01, 11
-    of q_m q_m^T mode by mode; k is the index of the pole i sigma_k nearest
-    each lam, and den[r, m] = lam_r^2 + sigma_m^2.  w = lam / den with
-    w[r, k_r] = 0, and s0 holds the entries 00, 01, 11 of
-    S0 = I + D^1/2 R(lam) D^1/2 without term k.  The sums over the modes
-    here and in its users are einsum loops, not numpy products: numpy's
+    of q_m q_m^T mode by mode; k is the index of the pole i sigma_k removed at
+    each lam, and den[r, m] = lam_r^2 + sigma_m^2, each formed as
+    (sigma_m - sigma_k)(sigma_m + sigma_k) + delta (2p + delta),
+    delta = lam - p and p = i sigma_k, exact as lam nears the pole.
+    w = lam / den with w[r, k_r] = 0, and s0 holds the entries 00, 01, 11
+    of S0 = I + D^1/2 R(lam) D^1/2 without term k.  The sums over the modes
+    here and in the callers are einsum loops, not numpy products: numpy's
     own OpenBLAS, which `one_blas_thread` does not hold, rounds them
     differently at another thread count once there are ~100 roots.
     """
-
-    sigma: np.ndarray
-    q: np.ndarray
-    outer: np.ndarray
-    k: np.ndarray
-    den: np.ndarray
-    w: np.ndarray
-    s0: tuple
-
-
-def _secular(sys: OrfdSystem, lam: np.ndarray) -> _Secular:
-    """`_Secular` at lam.  Each lam^2 + sigma_m^2 is formed as
-    (sigma_m - sigma_k)(sigma_m + sigma_k) + delta (2p + delta),
-    delta = lam - p and p = i sigma_k, exact as lam nears the pole."""
     m = sys.modes
     sigma = m.sigma.ravel()
     q = np.sqrt(sys.tip_rates)[:, None] * m.tip.reshape(2, -1)
     outer = np.array([q[0] * q[0], q[0] * q[1], q[1] * q[1]])
-    k = np.abs(lam.imag[:, None] - sigma).argmin(axis=1)
+    if k is None:
+        k = np.abs(lam.imag[:, None] - sigma).argmin(axis=1)
     p = 1j * sigma[k]
     delta = lam - p
     with np.errstate(all="ignore"):
@@ -216,7 +205,7 @@ def _secular(sys: OrfdSystem, lam: np.ndarray) -> _Secular:
         a, b, d = np.einsum("em,rm->er", outer, w)
     a += 1.0
     d += 1.0
-    return _Secular(sigma=sigma, q=q, outer=outer, k=k, den=den, w=w, s0=(a, b, d))
+    return q, outer, k, den, w, (a, b, d)
 
 
 def _newton_steps(sys: OrfdSystem, lam: np.ndarray) -> np.ndarray:
@@ -237,21 +226,57 @@ def _newton_steps(sys: OrfdSystem, lam: np.ndarray) -> np.ndarray:
     Nielsen & Sorensen, Numer. Math. 1978), built by `_secular`.  A step
     that overflows is not finite.
     """
-    s = _secular(sys, lam)
+    sigma = sys.modes.sigma.ravel()
+    _, outer, k, den, _, (a, b, d) = _secular(sys, lam)
     rows = np.arange(lam.size)
-    sigma, den = s.sigma, s.den
     with np.errstate(all="ignore"):
         dw = (2.0 * sigma**2 - den) / den**2
-        dw[rows, s.k] = 0.0
-        a, b, d = s.s0
-        da, db, dd = np.einsum("em,rm->er", s.outer, dw)
-        ua, ub, ud = s.outer[:, s.k]
+        dw[rows, k] = 0.0
+        da, db, dd = np.einsum("em,rm->er", outer, dw)
+        ua, ub, ud = outer[:, k]
         det, ddet = a * d - b * b, da * d + a * dd - 2.0 * b * db
         quad = ua * d - 2.0 * ub * b + ud * a
         dquad = ua * dd - 2.0 * ub * db + ud * da
-        pole = den[rows, s.k]
+        pole = den[rows, k]
         return (pole * det + lam * quad) / (
             2.0 * lam * det + pole * ddet + quad + lam * dquad)
+
+
+def _at_carrier(sys: OrfdSystem, lam: np.ndarray) -> tuple:
+    """`_secular` at each lam (Im >= 0) with the pole of its eigenvector's
+    largest entry removed, for `_mode_eigvecs` to scale that entry to 1.
+
+    With the nearest pole k, S0 and u = D^1/2 Psi_k, the eigenvector b and
+    c = D^1/2 Psi^T b satisfy b_m = -lam q_m^T c / (lam^2 + sigma_m^2) for
+    m != k, and (c, -b_k) is the null vector of the symmetric 3x3
+
+        M = [[S0, u], [u^T, -(lam^2 + sigma_k^2) / lam]],
+
+    whose determinant is g(lam) / lam (`_newton_steps`).  The null vector
+    is the largest cross product of two rows of M: that pair leaves out
+    the row of its largest entry, so it holds where b has no part on mode
+    k, as when the two channels decouple (gamma = 0, or D a multiple of
+    C1) and lam is a root of the other channel.  The roots whose largest
+    entry is not on mode k take `_secular` again at that mode.
+    """
+    q, outer, k, den, w, (a, b, d) = _secular(sys, lam)
+    rows = np.arange(lam.size)
+    u0, u1 = q[:, k]
+    with np.errstate(all="ignore"):
+        M = np.array([[a, b, u0], [b, d, u1], [u0, u1, -den[rows, k] / lam]])
+        # cross[l]: the product of the two rows other than l
+        cross = np.stack([np.cross(M[1], M[2], axis=0), np.cross(M[2], M[0], axis=0),
+                          np.cross(M[0], M[1], axis=0)])
+        v = cross[(np.abs(cross)**2).sum(axis=1).argmax(axis=0), :, rows]
+        size = np.abs(w * (v[:, :1] * q[0] + v[:, 1:2] * q[1]))
+        size[rows, k] = np.abs(v[:, 2])
+    top = size.argmax(axis=1)
+    moved = np.flatnonzero(top != k)
+    if moved.size:
+        _, _, k[moved], den[moved], w[moved], s0 = _secular(sys, lam[moved], top[moved])
+        for part, new in zip((a, b, d), s0):
+            part[moved] = new
+    return q, outer, k, den, w, (a, b, d)
 
 
 def _mode_eigvecs(sys: OrfdSystem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,31 +286,32 @@ def _mode_eigvecs(sys: OrfdSystem, lam: np.ndarray) -> tuple[np.ndarray, np.ndar
     The flow of xi = a + i b (`OrfdSystem.to_modes`) is a' = sigma b,
     b' = -sigma a - Psi D Psi^T b, so an eigenvector for lam has
     a = sigma b / lam and (lam^2 + sigma^2) b = -lam Psi D Psi^T b.  With
-    `_secular`'s pole k, S0 and u = D^1/2 Psi_k, and c = S0^-1 u,
+    k the mode of b's largest entry, S0 and u = D^1/2 Psi_k of `_secular`
+    at pole k (`_at_carrier`), and c = S0^-1 u,
 
         b_k = 1,   b_m = -lam q_m^T c / (lam^2 + sigma_m^2)   (m != k)
 
     solves it wherever g(lam) = 0 (`_newton_steps`): c spans the null
     space of S(lam) = S0 + lam u u^T / (lam^2 + sigma_k^2).  No term
     divides by lam^2 + sigma_k^2, so where the damping does not reach the
-    root (u = 0: both gains zero, or a root on a pole when gamma = 0 and
-    one gain is zero) b is the pure mode e_k.  The tip values Psi^T b
-    satisfy D^1/2 Psi^T b = c, so a tip with a gain reads
-    c_a / sqrt(d_a) without the mode sum, which cancels at a nearly clamped
-    tip; a tip without one reads the sum.  A 2x2 S0 that is singular or
-    overflows makes the rows non-finite.
+    root (u = 0: both gains zero, or a root on a pole of an undamped
+    channel) b is the pure mode e_k.  The tip values Psi^T b satisfy
+    D^1/2 Psi^T b = c, so a tip with a gain reads c_a / sqrt(d_a) without
+    the mode sum, which cancels at a nearly clamped tip; a tip without one
+    reads the sum.  A 2x2 S0 that is singular or overflows makes the rows
+    non-finite.
     """
-    s = _secular(sys, lam)
-    a, b, d = s.s0
-    u0, u1 = s.q[:, s.k]
+    sigma = sys.modes.sigma.ravel()
+    q, _, k, _, w, (a, b, d) = _at_carrier(sys, lam)
     rows = np.arange(lam.size)
+    u0, u1 = q[:, k]
     d_tip = sys.tip_rates
     with np.errstate(all="ignore"):
         det = a * d - b * b
         c = np.stack([(d * u0 - b * u1) / det, (a * u1 - b * u0) / det], axis=1)
-        vb = -s.w * np.einsum("ra,am->rm", c, s.q)
-        vb[rows, s.k] = 1.0
-        va = s.sigma * vb / lam[:, None]
+        vb = -w * np.einsum("ra,am->rm", c, q)
+        vb[rows, k] = 1.0
+        va = sigma * vb / lam[:, None]
         tips = np.where(d_tip > 0.0, c / np.sqrt(d_tip),
                         np.einsum("rm,am->ra", vb, sys.modes.tip.reshape(2, -1)))
     return va, vb, tips

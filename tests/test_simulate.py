@@ -1,4 +1,5 @@
 """Time integration, exact modal propagation, decay fitting, envelopes."""
+import warnings
 from collections import Counter
 
 import mpmath
@@ -655,6 +656,37 @@ def test_closed_form_eigenvectors_match_the_matrix_exponential(params, gains):
         assert np.abs(tr.energies - tr.energies[0]).max() <= 1e-14 * tr.energies[0]
     else:
         assert tr.energies[-1] < 0.7 * tr.energies[0]
+
+
+@pytest.mark.parametrize("params, gains", [
+    (TOY_UNCOUPLED, (50.0, 0.0)), (TOY_UNCOUPLED, (50.0, 0.3)), (TOY, (50.0, 50.0)),
+], ids=["gamma0-xi2-zero", "gamma0", "toy-D-multiple-of-C1"])
+def test_closed_form_eigenvectors_where_the_channels_decouple(params, gains):
+    # with gamma = 0, or with D a multiple of C1 (TOY at equal gains), every
+    # root lives on one channel, and many sit nearest a pole of the other
+    # channel, whose mode carries none of their vector: scaled there, the
+    # vectors missed whole directions and E was 0.9-1.2 E0 off
+    sys = build_system(params, 6, *gains)
+    sv = hat_initial_condition(params, 6, 0.5)
+    tr = modal_trace(sys, sv, 2.0, samples=21).trace
+    E, tips = _reference_trace(sys, sv, tr.times)
+    np.testing.assert_allclose(tr.energies, E, rtol=0, atol=1e-12 * E[0])
+    for got, want in zip((tr.boundary_v_dot, tr.boundary_p_dot), tips.T):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.abs(want).max())
+
+
+def test_modal_trace_warns_when_its_basis_misses_the_start(monkeypatch):
+    # eigenvalues 10% off give vectors of no root, and the corrections leave
+    # x(0) 0.53 from x0 (relative); the accurate ones leave 3.6e-17
+    sys = build_system(TOY, 6, 0.5, 0.3)
+    sv = hat_initial_condition(TOY, 6, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        modal_trace(sys, sv, 1.0, samples=11)
+    real_eigvals = spectral._hessenberg_eigvals
+    monkeypatch.setattr(spectral, "_hessenberg_eigvals", lambda h: 1.1 * real_eigvals(h))
+    with pytest.warns(RuntimeWarning, match="from the initial state"):
+        modal_trace(sys, sv, 1.0, samples=11)
 
 
 @pytest.mark.parametrize("N, gains", [(8, (1e6, 0.0)), (4, (0.0, 1e9))])

@@ -25,7 +25,7 @@ from .design import amplifier_intervals, epsilon_bounds, verify_design
 from .errors import DomainError
 from .materials import (TABLE1, MaterialParams, derive_constants, format_config,
                         parse_config)
-from .orfd import build_system, hat_initial_condition
+from .orfd import build_system, discrete_energy, hat_initial_condition
 from .simulate import envelope_check, fit_decay, integrate, max_energy_rise, modal_trace
 from .spectral import spectrum, sweep
 
@@ -216,7 +216,8 @@ def cmd_simulate(args: argparse.Namespace,
     if args.dump_matrices:
         outputs += _dump_matrices(system, Path(args.outdir))
 
-    summary = {"E0": float(E0), "E_final": float(trace.energies[-1]),
+    summary = {"E0": float(E0), "E_start": discrete_energy(system, state0),
+               "E_final": float(trace.energies[-1]),
                "samples": int(trace.times.size),
                "max_energy_rise": max_energy_rise(trace.energies)}
     if args.xi1 == 0.0 and args.xi2 == 0.0:

@@ -20,20 +20,28 @@ an exact midpoint quadrature of the continuous one.  That structure is what
 makes the dissipation identity and the perturbation bound below exact in
 floating point, not just O(h^2).
 
-A nodal state is one flat array [v, p, v_dot, p_dot] = [y; u] of length
-4(N+1); the nodal system is defined only in the second-order form above.
-Its one first-order generator acts on the energy coordinates
+A state is nodal or modal.  A nodal state is one flat array
+[v, p, v_dot, p_dot] = [y; u] of length 4(N+1), and its energy is the cell
+quadrature `discrete_energy`.  A modal state is the mode coordinates xi of
+the undamped beam (`modes`, `BeamModes`; to_modes, from_modes are FFTs of
+length 4(N+1)): the pencil (A_h, M) has sine modes, and the two
+characteristic channels of (C1, C2) decouple v and p, so xi carries the
+energy as (h/2)|xi|^2 and the gains act on it through two tip values.  The
+midpoint stepper and the modal propagation run in xi.
 
-    z = [L_A^T y; L_M^T u],   C1 (x) M = L_M L_M^T,   C2 (x) A_h = L_A L_A^T,
-
-(Cholesky factors, SPD as alpha1 > 0), in which the energy is (h/2) |z|^2 and
+Every dense eigenvalue analysis runs on one first-order generator,
 
     A_E = [[0, G^T], [-G, -D]],   G = L_M^-1 L_A,
-    D = L_M^-1 (diag(xi1, xi2) (x) B) L_M^-T.
+    D = L_M^-1 (diag(xi1, xi2) (x) B) L_M^-T,
 
-G is a Kronecker product of two factors (`G_factors`).  The damping
-is two tip rates: B = b b^T with b = e_{N+1}/sqrt(h), and L_m^-1 b is
-nonzero only in its tip entry, so D is diagonal with the two nonzeros
+for the Cholesky factors C1 (x) M = L_M L_M^T and C2 (x) A_h = L_A L_A^T
+(SPD as alpha1 > 0), in the layout `_tip_first` makes.  Its basis is the
+energy coordinates z = [L_A^T y; L_M^T u], in which the energy is
+(h/2)|z|^2.  z is the basis of A_E and nothing else: `G_factors` forms the
+two Kronecker factors of G, and no state is mapped to z.  The damping is
+two tip rates: B = b b^T with b = e_{N+1}/sqrt(h), L_M = sqrt(C1) (x) L_m with L_m
+the lower bidiagonal Cholesky factor of M, and L_m^-1 b is nonzero only in
+its tip entry, so D is diagonal with the two nonzeros
 
     d_a = xi_a (M^-1)_NN / (c_a h) = 4(N+1) xi_a / (c_a h),   c = diag(C1),
 
@@ -41,17 +49,9 @@ at the tip rates v_dot(L), p_dot(L) (`tip_rates`, `tip_index`).
 (M^-1)_NN = 4(N+1) exactly because M = (1/4) E^T E and the inverse of the
 bidiagonal stencil E is lower triangular with entries +-1.  D >= 0, so
 A_E + A_E^T <= 0 holds by construction and the eigenvectors are well
-conditioned (condition ~2).  Every dense eigenvalue analysis runs on A_E,
-in the layout `_tip_first` makes.  The midpoint stepper and the modal
-propagation run in the closed-form modes of the undamped beam (`modes`,
-`BeamModes`): the pencil (A_h, M) has sine modes, and the two
-characteristic channels of (C1, C2) decouple v and p, so the mode
-coordinates xi (to_modes, from_modes; FFTs of length 4(N+1)) carry the
-energy as (h/2)|xi|^2 and the gains act on them through two tip values.
-M and A_h are held as stencils and B as its entry 1/h; their Cholesky
-factors L_m and L_Ah are bidiagonal, in closed form, and map nodal states
-[y; u] to z with L_C2 (to_energy_coords).
-Only A_E and its mesh factor are dense, allocated after a MEMORY_BYTES check.
+conditioned (condition ~2).
+M and A_h are held as stencils and B as its entry 1/h.  Only A_E and its
+mesh factor are dense, allocated after a MEMORY_BYTES check.
 """
 
 from __future__ import annotations
@@ -88,11 +88,10 @@ class BeamModes:
     frequencies f_j = (2/h) tan(k_j h/2) and M-norm phi_j^T M phi_j =
     (n/2) cos^2(k_j h/2), n = N+1; mode (c, j) turns at sigma = sqrt(lam_c) f_j.
 
-    tip[a, c, j] is entry a of Psi: the tip entry a of the energy
-    coordinates z (`OrfdSystem.to_energy_coords`), sqrt(c_a / 4n) times the
-    tip rate, reads Psi^T Im(xi) in the mode coordinates xi
-    (`OrfdSystem.to_modes`).  Psi = R (x) psi with R = diag(C1)^1/2 T a
-    rotation and psi_j = (-1)^(j+1) / (sqrt(2) n cos(k_j h/2)), so its two
+    tip[a, c, j] is entry a of Psi: sqrt(c_a / 4n) times the tip rate a of a
+    nodal state (`OrfdSystem.tip_index`) reads Psi^T Im(xi) in its mode
+    coordinates xi (`OrfdSystem.to_modes`).  Psi = R (x) psi with
+    R = diag(C1)^1/2 T a rotation and psi_j = (-1)^(j+1) / (sqrt(2) n cos(k_j h/2)), so its two
     columns are orthonormal, and D = diag(tip_rates) enters the generator
     of xi as Psi D Psi^T.
     """
@@ -105,8 +104,8 @@ class BeamModes:
 
 @dataclass(eq=False)
 class OrfdSystem:
-    """Semi-discretization at one amplifier pair; the factors and the
-    generator A_E in energy coordinates are built on first use."""
+    """Semi-discretization at one amplifier pair; the dense generator A_E,
+    its factors and the closed-form modes are built on first use."""
 
     N: int
     h: float
@@ -130,38 +129,23 @@ class OrfdSystem:
         d, e = self.M_stencil
         return 4.0 / self.h**2 * d, -4.0 / self.h**2 * e
 
-    # The Cholesky factor of a Kronecker product is the product of the
-    # factors: L_M = sqrt(C1) (x) L_m with C1 diagonal, L_A = L_C2 (x) L_Ah.
-    # M is tridiagonal, so L_m is bidiagonal, with diagonal (1/2) sqrt((j+2)/(j+1))
-    # for j < N, tip 1/(2 sqrt(N+1)), and subdiagonal (1/2) sqrt(j/(j+1)).
-    @cached_property
-    def L_m(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower bidiagonal Cholesky factor of M as (diagonal, subdiagonal)."""
-        j = np.arange(1.0, self.n_nodes)
-        return (np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(self.n_nodes)],
-                0.5 * np.sqrt(j / (j + 1.0)))
-
-    @cached_property
-    def L_Ah(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cholesky factor of A_h: (2/h) L_m with its subdiagonal negated."""
-        d, e = self.L_m
-        return 2.0 / self.h * d, -2.0 / self.h * e
-
-    @cached_property
-    def L_C2(self) -> np.ndarray:
-        """Lower Cholesky factor of C2."""
-        return np.linalg.cholesky(self.C2)
-
-    @property
-    def coupling(self) -> np.ndarray:
-        """C1^-1/2 L_C2, the 2x2 Kronecker factor of G."""
-        return self.L_C2 / np.sqrt(np.diag(self.C1))[:, None]
-
     @cached_property
     def G_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coupling, L_m^-1 L_Ah), whose Kronecker product is G; the second is dense."""
-        d, e = self.L_Ah  # (L_m^-1 L_Ah)^T = L_Ah^T L_m^-T
-        return self.coupling, _solve_right(np.diag(d) + np.diag(e, 1), self.L_m, True).T
+        """(C1^-1/2 L_C2, L_m^-1 L_Ah), whose Kronecker product is G; the second is dense.
+
+        The Cholesky factor of a Kronecker product is the product of the
+        factors: L_M = sqrt(C1) (x) L_m with C1 diagonal, L_A = L_C2 (x) L_Ah.
+        M is tridiagonal, so L_m is lower bidiagonal, with diagonal
+        (1/2) sqrt((j+1)/j) for j = 1..N, tip 1/(2 sqrt(N+1)), and subdiagonal
+        (1/2) sqrt(j/(j+1)); L_Ah is (2/h) L_m with its subdiagonal negated.
+        """
+        j = np.arange(1.0, self.n_nodes)
+        d = np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(self.n_nodes)]
+        e = 0.5 * np.sqrt(j / (j + 1.0))
+        L_Ah = np.diag(2.0 / self.h * d) + np.diag(-2.0 / self.h * e, -1)
+        # L_m has a positive diagonal, so the banded solve cannot fail
+        mesh = dtbtrs(np.vstack([d, np.append(e, 0.0)]), L_Ah, uplo="L")[0]
+        return np.linalg.cholesky(self.C2) / np.sqrt(np.diag(self.C1))[:, None], mesh
 
     @property
     def tip_rates(self) -> np.ndarray:
@@ -170,12 +154,12 @@ class OrfdSystem:
 
     @property
     def tip_index(self) -> list[int]:
-        """Positions of v_dot(L) and p_dot(L) in nodal states and in z."""
+        """Positions of v_dot(L) and p_dot(L) in nodal states and in A_E."""
         return [3 * self.n_nodes - 1, 4 * self.n_nodes - 1]
 
     @cached_property
     def A_E(self) -> np.ndarray:
-        """Generator on the energy coordinates z (module docstring)."""
+        """The first-order generator, on the energy coordinates z (module docstring)."""
         n = self.n_nodes
         # A_E, and the copies and workspace of the eigensolves run on it
         _check_memory(8 * 6 * (4 * n) ** 2, f"generator at N={self.N}", "nodes")
@@ -257,13 +241,6 @@ class OrfdSystem:
                 out[:, q, a] += m.T[a, 1] * chan[:, 1]
         return out.reshape(shape[:-2] + (4 * n,))
 
-    def to_energy_coords(self, states: np.ndarray) -> np.ndarray:
-        """z = [L_A^T y; L_M^T u] of nodal states, shape (..., 4(N+1))."""
-        s = np.asarray(states, dtype=float).reshape(-1, 4, self.n_nodes)
-        zy = self.L_C2.T @ _times_bidiag(s[:, :2], self.L_Ah)
-        zu = np.sqrt(np.diag(self.C1))[:, None] * _times_bidiag(s[:, 2:], self.L_m)
-        return np.concatenate([zy, zu], axis=1).reshape(np.shape(states))
-
 
 def _channel_transform(sys: OrfdSystem) -> tuple[np.ndarray, np.ndarray]:
     """(T, lam) with T^T C1 T = I and T^T C2 T = diag(lam): the beam's two
@@ -309,25 +286,6 @@ def _tip_first(A: np.ndarray) -> np.ndarray:
     P = np.empty(A.shape, order="F")
     P[0, 0], P[0, 1:], P[1:, 0], P[1:, 1:] = A[-1, -1], A[-1, :-1], A[:-1, -1], A[:-1, :-1]
     return P
-
-
-def _times_bidiag(X: np.ndarray, L: tuple) -> np.ndarray:
-    """X L for the lower bidiagonal L = (diagonal, subdiagonal), on the last axis of X."""
-    d, e = L
-    XL = X * d
-    XL[..., :-1] += X[..., 1:] * e
-    return XL
-
-
-def _solve_right(X: np.ndarray, L: tuple, transpose: bool = False) -> np.ndarray:
-    """X L^-1, or X L^-T with transpose, for the lower bidiagonal L = (d, e),
-    on the last axis of X: dtbtrs on (X L^-1)^T = L^-T X^T."""
-    rows = X.reshape(-1, X.shape[-1])
-    sol, info = dtbtrs(np.vstack([L[0], np.append(L[1], 0.0)]), rows.T, uplo="L",
-                       trans="N" if transpose else "T")
-    if info:
-        raise np.linalg.LinAlgError(f"bidiagonal solve failed (dtbtrs info={info})")
-    return sol.T.reshape(X.shape)
 
 
 def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> OrfdSystem:
@@ -393,15 +351,35 @@ def check_state(sys: OrfdSystem, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def discrete_energy(sys: OrfdSystem, state: np.ndarray) -> float:
-    """E_h = (h/2) <(C1 (x) M) u, u> + (h/2) <(C2 (x) A_h) y, y> = (h/2) |z|^2,
-    y = [v; p], u = [v_dot; p_dot], z = sys.to_energy_coords(state).
+def _cells(sys: OrfdSystem, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(averages, slopes) of the checked nodal state over the N+1 cells, each
+    of shape (4, N+1) with rows v, p, v_dot, p_dot; the clamped node is
+    prepended to each row."""
+    n = sys.N + 1
+    w = np.hstack([np.zeros((4, 1)), check_state(sys, state).reshape(4, n)])
+    return 0.5 * (w[:, :-1] + w[:, 1:]), np.diff(w) / sys.h
 
-    Midpoint quadrature of the continuous energy: kinetic/magnetic terms are
-    sums of squared cell averages, potential terms squared cell differences.
+
+def discrete_energy(sys: OrfdSystem, state: np.ndarray) -> float:
+    """E_h = (h/2) <(C1 (x) M) u, u> + (h/2) <(C2 (x) A_h) y, y>,
+    y = [v; p], u = [v_dot; p_dot].
+
+    Midpoint quadrature of the continuous energy, cell by cell:
+
+        E_h = (h/2) sum_cells [rho ubar_v^2 + mu ubar_p^2
+                               + alpha1 v_x^2 + beta (p_x - gamma v_x)^2],
+
+    alpha1 = alpha - gamma^2 beta, over the cell averages ubar of the rates
+    and the cell slopes of the profiles (M = (1/4) E^T E and
+    A_h = (1/h^2) D^T D).  A sum of squares, so it does not cancel near the
+    hyperbolicity limit alpha1 -> 0.
     """
-    z = sys.to_energy_coords(state)
-    return 0.5 * sys.h * float(z @ z)
+    (_, _, vd, pd), (vx, px, _, _) = _cells(sys, state)
+    (rho, mu), ((alpha, gb), (_, beta)) = np.diag(sys.C1), sys.C2  # gb = -gamma beta
+    shear = px + gb / beta * vx  # p_x - gamma v_x
+    alpha1 = alpha - gb * gb / beta
+    return 0.5 * sys.h * float(rho * vd @ vd + mu * pd @ pd
+                               + alpha1 * vx @ vx + beta * shear @ shear)
 
 
 def perturbation_functional(sys: OrfdSystem, state: np.ndarray,
@@ -412,12 +390,7 @@ def perturbation_functional(sys: OrfdSystem, state: np.ndarray,
     the bound |F| <= L*eta*E_h holds exactly for the discrete quantities
     (the continuous Hoelder/Young chain goes through verbatim).
     """
-    n = sys.N + 1
-    state = check_state(sys, state)
-    # prepend the clamped node to each of v, p, v_dot, p_dot
-    v, p, vd, pd = np.hstack([np.zeros((4, 1)), state.reshape(4, n)])
-    x_mid = (np.arange(n) + 0.5) * sys.h
-    slope = lambda w: np.diff(w) / sys.h
-    avg = lambda w: 0.5 * (w[:-1] + w[1:])
-    integrand = params.rho * avg(vd) * slope(v) + params.mu * avg(pd) * slope(p)
+    (_, _, vd, pd), (vx, px, _, _) = _cells(sys, state)
+    x_mid = (np.arange(sys.N + 1) + 0.5) * sys.h
+    integrand = params.rho * vd * vx + params.mu * pd * px
     return float(sys.h * np.sum(x_mid * integrand))

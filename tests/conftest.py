@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from piezobeam import TABLE1, MaterialParams, derive_constants
 
@@ -67,6 +68,18 @@ def dense_blocks(sys):
     B = np.zeros((n, n))
     B[-1, -1] = 1.0 / sys.h
     return M, Ah, B
+
+
+def energy_basis(sys):
+    """S with z = S x the energy coordinates of nodal states x, the basis of
+    `sys.A_E`: S = diag(L_A^T, L_M^T) for the dense Cholesky factors
+    C1 (x) M = L_M L_M^T and C2 (x) A_h = L_A L_A^T of `dense_blocks`, so
+    reference checks in z stay independent of the system's own factors.
+    Its tip rows are sqrt(c_a / 4(N+1)) times the tip rates."""
+    M, Ah, _ = dense_blocks(sys)
+    L_M = np.linalg.cholesky(np.kron(sys.C1, M))
+    L_A = np.linalg.cholesky(np.kron(sys.C2, Ah))
+    return scipy.linalg.block_diag(L_A.T, L_M.T)
 
 
 BLAS_THREADS = ("1", "2")

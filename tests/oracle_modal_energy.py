@@ -1,10 +1,11 @@
 """60-digit mpmath oracle for `MODAL_ENERGY` and `MODAL_TIPS` in `tests/test_simulate.py`.
 
-Takes the float64 generator A_E and the energy coordinates z0 of the hat
-start (`hat_initial_condition`) from `piezobeam.orfd`, converts both to
-mpmath exactly, and prints E(T)/E0 = |expm(T A_E) z0|^2 / |z0|^2 of the
+Takes the float64 generator A_E from `piezobeam.orfd` and the energy
+coordinates z0 = S x0 of the hat start (`hat_initial_condition`), with S
+from the dense Cholesky factors of `conftest.energy_basis`, converts both
+to mpmath exactly, and prints E(T)/E0 = |expm(T A_E) z0|^2 / |z0|^2 of the
 builtin `table1` material at each key, and the two tip entries of
-z(T) = expm(T A_E) z0 (v_dot(L) and p_dot(L), each sqrt(c_a) L_m[N, N]
+z(T) = expm(T A_E) z0 (v_dot(L) and p_dot(L), each sqrt(c_a / 4(N+1))
 times the tip rate).  So it checks the propagation of
 `simulate.modal_trace` (eigenvalues, closed-form eigenvectors and their
 tip rates, coefficients, sampling), not the assembly of A_E, which
@@ -32,6 +33,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from piezobeam.materials import TABLE1  # noqa: E402
 from piezobeam.orfd import build_system, hat_initial_condition  # noqa: E402
 
+from conftest import energy_basis  # noqa: E402
+
 DPS = 60
 T = 0.1
 KEYS = [(8, 2.718e6, 1.137e11), (8, 8.8e5, 6.8e11)]
@@ -41,7 +44,7 @@ def energy_ratio(params, N: int, xi1: float, xi2: float) -> tuple[mp.mpf, list]:
     """E(T)/E0 and the two tip entries of z(T) at one key."""
     sys_ = build_system(params, N, xi1, xi2)
     A = mp.matrix(sys_.A_E.tolist())
-    z0 = mp.matrix(sys_.to_energy_coords(hat_initial_condition(params, N, 0.5)).tolist())
+    z0 = mp.matrix((energy_basis(sys_) @ hat_initial_condition(params, N, 0.5)).tolist())
     zT = mp.expm(mp.mpf(T) * A) * z0
     ratio = mp.fsum(x**2 for x in zT) / mp.fsum(x**2 for x in z0)
     return ratio, [zT[i] for i in sys_.tip_index]

@@ -186,6 +186,8 @@ def test_simulate_midpoint_writes_trace_files(tmp_path, capsys, toy):
 
     summary = json.loads(out)
     assert summary["E0"] == float(first[1])
+    # the start's own energy, the cell quadrature, and the first sample's
+    assert summary["E_start"] == pytest.approx(summary["E0"], rel=1e-13)
     assert summary["samples"] == 51
     assert summary["E_final"] < summary["E0"]
     assert summary["sigma_fit"] is not None
@@ -221,7 +223,7 @@ def test_simulate_nonzero_gains_fit_a_rate(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["sigma_fit"] > 0.0
-    assert set(summary) == {"E0", "E_final", "samples", "max_energy_rise", "sigma_fit",
+    assert set(summary) == {"E0", "E_start", "E_final", "samples", "max_energy_rise", "sigma_fit",
                             "r_squared", "fit_window", "fit_truncated"}
 
 

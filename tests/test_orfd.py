@@ -2,12 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import block_diag
 
 from piezobeam import (TABLE1, DomainError, build_system, discrete_energy, hat_initial_condition,
                       integrate, modal_trace, orfd, perturbation_functional)
 
-from conftest import TOY, dense_blocks, random_material
+from conftest import TOY, dense_blocks, energy_basis, random_material
 
 
 def dense_energy_reference(sys, state):
@@ -43,27 +42,25 @@ def test_matrices_literal_small(toy):
 
 @pytest.mark.parametrize("N", [2, 8, 80, 320])
 def test_mesh_factors_are_the_closed_form(table1, N):
-    # L_m is the bidiagonal Cholesky factor of M = (1/4) E^T E: diagonal
-    # (1/2) sqrt((j+2)/(j+1)) for j < N and 1/(2 sqrt(N+1)) at the tip,
-    # subdiagonal (1/2) sqrt(j/(j+1)) for j = 1..N, each entry within 2 ulp
-    # of its 40-digit value.  L_Ah is (2/h) L_m with its subdiagonal negated.
+    # The mesh factor L_m^-1 L_Ah of G is lower triangular with entries
+    # (2/h) [delta_ij + 2 (-1)^(i-j) w_j / w_i] for j <= i, 1-based, with
+    # w_j = sqrt(j (j+1)) for j < n = N+1 and w_n = sqrt(n).  Every entry is
+    # within 16 eps times the largest entry of its 40-digit value (measured
+    # 6.4e-16 at N=80 and 1.8e-15 at N=320), and the upper triangle is
+    # exactly zero.
     sys = build_system(table1, N, 1e6, 1e9)
-    d, e = sys.L_m
-    assert d.shape == (N + 1,) and e.shape == (N,)
+    mesh = sys.G_factors[1]
+    n = N + 1
+    assert mesh.shape == (n, n) and not np.triu(mesh, 1).any()
+    tol = 16 * np.finfo(float).eps * np.abs(mesh).max()
     with mpmath.workdps(40):
-        d_want = [mpmath.sqrt(mpmath.mpf(j + 2) / (j + 1)) / 2 for j in range(N)]
-        d_want.append(1 / (2 * mpmath.sqrt(N + 1)))
-        e_want = [mpmath.sqrt(mpmath.mpf(j) / (j + 1)) / 2 for j in range(1, N + 1)]
-        for got, want in zip(np.concatenate([d, e]), d_want + e_want):
-            assert abs(mpmath.mpf(float(got)) - want) <= 2 * np.spacing(float(want))
-    # L_m L_m^T and L_Ah L_Ah^T reproduce the stencils of M and A_h
-    eps = np.finfo(float).eps
-    dA, eA = sys.L_Ah
-    np.testing.assert_allclose(dA, 2.0 / sys.h * d, rtol=eps, atol=0)
-    np.testing.assert_allclose(eA, -2.0 / sys.h * e, rtol=eps, atol=0)
-    for (ld, le), (md, me) in (((d, e), sys.M_stencil), ((dA, eA), sys.Ah_stencil)):
-        np.testing.assert_allclose(ld**2 + np.r_[0.0, le**2], md, rtol=8 * eps, atol=0)
-        np.testing.assert_allclose(le * ld[:-1], me, rtol=8 * eps, atol=0)
+        w = [mpmath.sqrt(j * (j + 1)) for j in range(1, n)] + [mpmath.sqrt(n)]
+        scale = 4 * n / mpmath.mpf(table1.L)  # 4/h
+        for i in range(n):
+            assert abs(mesh[i, i] - scale / 2) <= tol
+            inv = (-1) ** i * scale / w[i]
+            for j, got in enumerate(mesh[i, :i].tolist()):
+                assert abs(got - (-1) ** j * w[j] * inv) <= tol
 
 
 @pytest.mark.parametrize("N", [2, 8, 80])
@@ -74,8 +71,9 @@ def test_closed_form_modes_match_numerical_eigensolves(params, N):
     # singular values of G, both to 1e-13 of the largest (measured 1.6e-14);
     # the tip values Psi = R (x) psi, which carry the sine modes' M-norm
     # (n/2) cos^2(k_j h/2), against the tip row of the mesh factor's left
-    # singular vectors, and their signs against the energy coordinates:
-    # Psi^T Im(xi) is z's pair of tip entries
+    # singular vectors, and their signs against the tip rates: Psi^T Im(xi)
+    # is sqrt(c_a / 4n) times the tip rates, the tip entries of the energy
+    # coordinates
     sys = build_system(params, N, 0.0, 0.0)
     n = N + 1
     modes = sys.modes
@@ -94,16 +92,16 @@ def test_closed_form_modes_match_numerical_eigensolves(params, N):
     np.testing.assert_allclose(np.abs(modes.tip), np.abs(R)[:, :, None] * np.abs(U[-1, ::-1]),
                                rtol=0, atol=1e-13)
     state = np.random.default_rng(N).standard_normal(4 * n)
-    z = sys.to_energy_coords(state)
+    z = energy_basis(sys) @ state
     tips = modes.tip.reshape(2, 2 * n) @ sys.to_modes(state).imag.ravel()
-    np.testing.assert_allclose(tips, z[sys.tip_index], rtol=0,
-                               atol=1e-13 * np.linalg.norm(z[2 * n:]))
+    np.testing.assert_allclose(tips, np.sqrt(np.diag(sys.C1) / (4 * n)) * state[sys.tip_index],
+                               rtol=0, atol=1e-13 * np.linalg.norm(z[2 * n:]))
 
 
 @pytest.mark.parametrize("N", [80, 20000])
 def test_mode_maps_round_trip_and_keep_the_energy(table1, N):
-    # (h/2)|xi|^2 of the mode coordinates is (h/2)|z|^2 of the energy
-    # coordinates, and to_modes inverts from_modes, to 1e-13 relative at
+    # (h/2)|xi|^2 of the mode coordinates is the cell quadrature
+    # discrete_energy, and to_modes inverts from_modes, to 1e-13 relative at
     # both sizes (measured: 1.3e-14 and 2.4e-14 at N=20000).  The maps are
     # FFTs of length 4(N+1), so no N x N array is formed.
     sys = build_system(table1, N, 1e6, 1e9)
@@ -113,8 +111,8 @@ def test_mode_maps_round_trip_and_keep_the_energy(table1, N):
     for state in (rng.standard_normal(4 * n), np.r_[hat[:2 * n], hat[::-1][:2 * n]]):
         xi = sys.to_modes(state)
         assert xi.shape == (2, n)
-        z = sys.to_energy_coords(state)
-        np.testing.assert_allclose(np.vdot(xi, xi).real, z @ z, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(0.5 * sys.h * np.vdot(xi, xi).real,
+                                   discrete_energy(sys, state), rtol=1e-13, atol=0)
     xi = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
     back = sys.to_modes(sys.from_modes(xi))
     assert back.shape == xi.shape
@@ -165,28 +163,18 @@ def test_generator_blocks_match_reference(table1, toy):
 def test_energy_generator_matches_definition(table1, toy):
     # z = S x with S = diag(L_A^T, L_M^T) from the full-size Cholesky factors:
     # A_E S = S A_ref for the nodal generator A_ref of the second-order
-    # system, E_h = (h/2)|z|^2, A_E + A_E^T <= 0, and the blockwise maps to
-    # and from z agree with S and its inverse
+    # system, E_h = (h/2)|z|^2 and A_E + A_E^T <= 0
     rng = np.random.default_rng(64)
     for params, N, xi in ((toy, 5, (1.3, 0.2)), (table1, 7, (1e6, 1e9)),
                           (random_material(rng), 6, (2.0, 3.0))):
         sys = build_system(params, N, *xi)
-        M, Ah, _ = dense_blocks(sys)
-        L_M = np.linalg.cholesky(np.kron(sys.C1, M))
-        L_A = np.linalg.cholesky(np.kron(sys.C2, Ah))
-        S = block_diag(L_A.T, L_M.T)
+        S = energy_basis(sys)
         A_ref = nodal_generator_reference(sys)
         lhs, rhs = sys.A_E @ S, S @ A_ref
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
-        states = rng.standard_normal((5, 4 * (N + 1)))
-        for state in states:
+        for state in rng.standard_normal((5, 4 * (N + 1))):
             z = S @ state
             assert discrete_energy(sys, state) == pytest.approx(0.5 * sys.h * z @ z, rel=1e-12)
-        zs = states @ S.T
-        np.testing.assert_allclose(sys.to_energy_coords(states), zs,
-                                   rtol=0, atol=1e-13 * np.abs(zs).max())
-        np.testing.assert_allclose(sys.to_energy_coords(states[0]), zs[0],
-                                   rtol=0, atol=1e-13 * np.abs(zs).max())
         sym = sys.A_E + sys.A_E.T
         assert np.linalg.eigvalsh(sym).max() <= 1e-14 * np.abs(sym).max()
 
@@ -324,10 +312,13 @@ def test_perturbation_functional_structure(table1):
 
 @pytest.mark.parametrize("size", [0, 43, 48, 45])
 def test_perturbation_functional_rejects_wrong_length(table1, size):
-    # N=10 states have 4*11 = 44 entries; 48 = 4*12 is a state of N=11
+    # N=10 states have 4*11 = 44 entries; 48 = 4*12 is a state of N=11.
+    # discrete_energy takes the same check
     sys = build_system(table1, 10, 0.0, 0.0)
     with pytest.raises(DomainError, match="expected \\(44,\\)"):
         perturbation_functional(sys, np.zeros(size), table1)
+    with pytest.raises(DomainError, match="expected \\(44,\\)"):
+        discrete_energy(sys, np.zeros(size))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -335,7 +326,8 @@ def test_perturbation_functional_rejects_wrong_length(table1, size):
     lambda sys, s, p: integrate(sys, s, 1e-2, 1e-3),
     lambda sys, s, p: modal_trace(sys, s, 1e-2),
     lambda sys, s, p: perturbation_functional(sys, s, p),
-], ids=["integrate", "modal_trace", "perturbation_functional"])
+    lambda sys, s, p: discrete_energy(sys, s),
+], ids=["integrate", "modal_trace", "perturbation_functional", "discrete_energy"])
 def test_state_consumers_reject_non_finite_entries(toy, use, bad):
     # the state is refused up front, not blamed on the eigensolve, on a
     # step, or returned as a NaN functional

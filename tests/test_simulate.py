@@ -19,7 +19,7 @@ from piezobeam.simulate import (
     modal_trace,
 )
 
-from conftest import TOY, dense_blocks, random_material, run_under_blas_threads
+from conftest import TOY, dense_blocks, energy_basis, random_material, run_under_blas_threads
 
 quiet_dt = pytest.mark.filterwarnings(
     "ignore:dt=.*does not resolve:RuntimeWarning")
@@ -34,7 +34,7 @@ MODAL_ENERGY = {
     (8, 8.8e5, 6.8e11): 0.6933967521097056269,
 }
 # The two tip entries of z(0.1) at the same keys, printed by the same
-# script: sqrt(c_a) L_m[N, N] times the tip rates v_dot(L), p_dot(L).  The
+# script: sqrt(c_a / 4(N+1)) times the tip rates v_dot(L), p_dot(L).  The
 # closed-form tip rates read them to 3.7e-7 and 2.9e-7 relative.
 MODAL_TIPS = {
     (8, 2.718e6, 1.137e11): (-0.079680084068402291312, 0.00186342864080394747),
@@ -588,7 +588,7 @@ def test_modal_tip_rates_match_the_oracle(table1, key):
     # 2.2e20), where a sum over the modes cancels
     sys = build_system(table1, *key)
     tr = modal_trace(sys, hat_initial_condition(table1, key[0], 0.5), 0.1).trace
-    want = np.array(MODAL_TIPS[key]) / (np.sqrt(np.diag(sys.C1)) * sys.L_m[0][-1])
+    want = np.array(MODAL_TIPS[key]) / np.sqrt(np.diag(sys.C1) / (4 * sys.n_nodes))
     np.testing.assert_allclose([tr.boundary_v_dot[-1], tr.boundary_p_dot[-1]], want, rtol=1e-6)
 
 
@@ -624,7 +624,7 @@ def test_modal_trace_takes_the_spectrum_eigenvalues_bit_for_bit(table1, monkeypa
 def _reference_trace(sys, state0, times, digits=None):
     """Energies and tip rates of z(t) = expm(t A_E) z0 at each of times:
     scipy's expm, or with digits mpmath's at that precision."""
-    z0 = sys.to_energy_coords(state0)
+    z0 = energy_basis(sys) @ state0
     if digits is None:
         z = np.array([scipy.linalg.expm(t * sys.A_E) @ z0 for t in times])
     else:
@@ -632,7 +632,7 @@ def _reference_trace(sys, state0, times, digits=None):
             A, z0 = mpmath.matrix(sys.A_E.tolist()), mpmath.matrix(z0.tolist())
             z = np.array([[float(x) for x in mpmath.expm(mpmath.mpf(t) * A) * z0]
                           for t in times])
-    tips = z[:, sys.tip_index] / (np.sqrt(np.diag(sys.C1)) * sys.L_m[0][-1])
+    tips = z[:, sys.tip_index] / np.sqrt(np.diag(sys.C1) / (4 * sys.n_nodes))
     return 0.5 * sys.h * np.einsum("ij,ij->i", z, z), tips
 
 

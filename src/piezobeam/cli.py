@@ -2,7 +2,8 @@
 
 Subcommands: design, simulate, spectrum, sweep, verify.  `run` loads the
 material parameters, answers --emit-config, and writes the manifest JSON
-(command, material parameters, options, emitted files, wall time) around
+(command, material parameters, options, emitted files, wall time, and the
+BLAS library every BLAS and LAPACK call ran on, `_lapack.config`) around
 each `cmd_*`, which returns its exit code and emitted files.  Domain, I/O
 and eigensolver errors exit 1 without a manifest, usage errors exit 2.
 """
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _lapack
 from .design import amplifier_intervals, epsilon_bounds, verify_design
 from .errors import DomainError
 from .materials import (TABLE1, MaterialParams, derive_constants, format_config,
@@ -76,6 +78,7 @@ def _write_manifest(command: str, args: argparse.Namespace, params: MaterialPara
         "options": options,
         "outputs": [str(p) for p in outputs],
         "wall_time": wall,
+        "blas": _lapack.config(),
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path

@@ -61,13 +61,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
+from ._lapack import Routine
 from .errors import DomainError
 from .materials import MaterialParams
 
 # Memory one call may take for its dense blocks and sample arrays.
 MEMORY_BYTES = 2**30
+
+_dtbtrs = Routine("dtbtrs")
 
 
 def _check_memory(need: float, what: str, fewer: str) -> None:
@@ -138,13 +140,18 @@ class OrfdSystem:
         M is tridiagonal, so L_m is lower bidiagonal, with diagonal
         (1/2) sqrt((j+1)/j) for j = 1..N, tip 1/(2 sqrt(N+1)), and subdiagonal
         (1/2) sqrt(j/(j+1)); L_Ah is (2/h) L_m with its subdiagonal negated.
+        L_m^-1 L_Ah is one banded triangular solve, LAPACK's dtbtrs in numpy's
+        BLAS library (`piezobeam._lapack`), and comes in Fortran order.
         """
-        j = np.arange(1.0, self.n_nodes)
-        d = np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(self.n_nodes)]
+        n = self.n_nodes
+        j = np.arange(1.0, n)
+        d = np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(n)]
         e = 0.5 * np.sqrt(j / (j + 1.0))
-        L_Ah = np.diag(2.0 / self.h * d) + np.diag(-2.0 / self.h * e, -1)
-        # L_m has a positive diagonal, so the banded solve cannot fail
-        mesh = dtbtrs(np.vstack([d, np.append(e, 0.0)]), L_Ah, uplo="L")[0]
+        # L_Ah, overwritten by L_m^-1 L_Ah (dtbtrs on the band of L_m); L_m
+        # has a positive diagonal, so the solve cannot fail
+        mesh = np.asfortranarray(np.diag(2.0 / self.h * d) + np.diag(-2.0 / self.h * e, -1))
+        _dtbtrs(b"L", b"N", b"N", n, 1, n, np.array([d, np.append(e, 0.0)], order="F"), 2,
+                mesh, n)
         return np.linalg.cholesky(self.C2) / np.sqrt(np.diag(self.C1))[:, None], mesh
 
     @property

@@ -45,15 +45,15 @@ Both take and return states as flat arrays [v, p, v_dot, p_dot] of length
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemm, dgemv, dtrsv, zgemm
 
+from ._lapack import Routine, lead, one_blas_thread
 from .errors import DomainError
-from ._lapack import one_blas_thread
 from .orfd import OrfdSystem, _check_memory, check_state
 from .spectral import _eigvals, _mode_eigvecs, generator_radius_estimate
 
@@ -91,6 +91,9 @@ STATE_BLOCK = 64
 # 7.8 against 8.2 us at N=255, 10.6 against 8.5 us at N=400 (BENCH_23.json).
 BLOCK_STEPS = 64
 BLOCK_NODES = 256
+
+_ddot, _dgemv, _dgemm, _zgemm, _dtrsv = (
+    Routine(name) for name in ("ddot", "dgemv", "dgemm", "zgemm", "dtrsv"))
 
 
 @dataclass(frozen=True)
@@ -197,16 +200,22 @@ def _check_finite(energies: np.ndarray, first: int, times: np.ndarray) -> None:
 def _step_one(xi, mu, P, V, half_h, energies, tips, kept, times) -> None:
     """Midpoint steps one at a time from xi, in place: one dgemv for the
     midpoint tip rates tau, one multiply by mu, one dgemv for the gain
-    correction and one ddot for the sample's energy."""
+    correction and one ddot for the sample's energy.  The three calls are
+    bound once, and tau, the address of the step's row of tips, moves."""
     x = xi.view(float)
     # P and V transposed are Fortran-order views: dgemv reads them in place
     Pt, Vt = P.T, V.T
+    tau = ctypes.c_void_p()
+    midpoint_tips = _dgemv.bind(b"T", *Pt.shape, 1.0, Pt, lead(Pt), x, 1, 0.0, tau, 1)
+    correct = _dgemv.bind(b"N", *Vt.shape, 1.0, Vt, lead(Vt), tau, 1, 1.0, x, 1)
+    energy = _ddot.bind(x.size, x, 1, x, 1)
+    row, stride = tips.ctypes.data, tips.strides[0]
     for k in range(1, energies.size):
-        tau = tips[k]
-        dgemv(1.0, Pt, x, y=tau, overwrite_y=1, trans=1)
+        tau.value = row + k * stride
+        midpoint_tips()
         np.multiply(xi, mu, out=xi)
-        dgemv(1.0, Vt, tau, beta=1.0, y=x, overwrite_y=1)
-        energies[k] = e = half_h * ddot(x, x)
+        correct()
+        energies[k] = e = half_h * energy()
         if kept is not None:
             kept[k] = xi
         if not math.isfinite(e):
@@ -242,20 +251,37 @@ def _step_blocks(xi, mu, P, V, block, half_h, energies, tips, kept, times) -> No
     lower[m, :, j, :] = -K[m - 1 - j]
     lower = np.asfortranarray(lower.reshape(2 * block, 2 * block))
     Wxi = np.empty((xi.size, 2), dtype=complex, order="F")
+    first = np.empty((2, block), dtype=complex, order="F")
     work = np.zeros((block, xi.size), dtype=complex)
     Vt = V.T  # Fortran order: dgemm reads it in place
+    c = work.view(float).T
+    row, stride = tips.ctypes.data, tips.strides[0]
+    tau = ctypes.c_void_p()  # the block's rows of tips
+
+    def bound(b: int) -> tuple:
+        """The calls of a block of b steps, bound once: W mu^m xi_0 into
+        `first` (zgemm), the solve for tau (dtrsv) and V^T tau into `work`
+        (dgemm)."""
+        table = turn[:b].T
+        return (_zgemm.bind(b"T", b"N", 2, b, xi.size, 1.0, Wxi, lead(Wxi), table, lead(table),
+                            0.0, first, lead(first)),
+                _dtrsv.bind(b"L", b"N", b"U", 2 * b, lower, lead(lower), tau, 1),
+                _dgemm.bind(b"N", b"N", Vt.shape[0], b, 2, 1.0, Vt, lead(Vt), tau, 2,
+                            0.0, c, lead(c)))
+
+    full = bound(block)
     steps = energies.size - 1
     for start in range(1, steps + 1, block):
         b = min(block, steps + 1 - start)
         rows = slice(start, start + b)
+        first_terms, solve, products = full if b == block else bound(b)
         np.multiply(W, xi, out=Wxi.T)
-        a = zgemm(1.0, Wxi, turn[:b].T, trans_a=1)
-        tau = tips[rows]
-        tau[...] = a.real.T
-        dtrsv(lower if b == block else lower[:2 * b, :2 * b], tau.reshape(-1),
-              overwrite_x=1, lower=1, diag=1)
+        first_terms()
+        tips[rows] = first[:, :b].real.T
+        tau.value = row + start * stride
+        solve()
+        products()
         sums = work[:b]
-        dgemm(1.0, Vt, tau.T, c=sums.view(float).T, overwrite_c=1)
         np.multiply(sums, back[:b], out=sums)
         sums[0] += xi
         np.cumsum(sums, axis=0, out=sums)
@@ -291,11 +317,11 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     a zgemm, a triangular solve for the block's midpoint tip rates and a few
     elementwise passes over its states, and the energies (h/2)|xi|^2 from
     those states; a larger mesh takes one step at a time (`_step_one`).
-    Every BLAS call runs with scipy's OpenBLAS held to one thread, so the
-    trace does not depend on the BLAS thread count.  The tip rates
-    follow tip_k+1 = 2 tau_k - tip_k from the exact initial ones and the
-    midpoint tips tau_k; with keep_states the modes of every sample are
-    kept.  The states and the final state are mapped back to nodes after
+    Every BLAS call runs with the BLAS held to one thread
+    (`_lapack.one_blas_thread`), so the trace does not depend on the BLAS
+    thread count.  The tip rates follow tip_k+1 = 2 tau_k - tip_k from the
+    exact initial ones and the midpoint tips tau_k; with keep_states the
+    modes of every sample are kept.  The states and the final state are mapped back to nodes after
     the run (`OrfdSystem.from_modes`) and take those tip rates, so the tip
     rates are bit for bit the tip columns of the states.
     T must be a whole number of steps dt, to 1e-9 relative; another span is
@@ -349,7 +375,8 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
 
     half_h = 0.5 * sys.h
     with one_blas_thread():
-        energies[0] = half_h * ddot(xi.view(float), xi.view(float))
+        x = xi.view(float)
+        energies[0] = half_h * _ddot(x.size, x, 1, x, 1)
         if kept is not None:
             kept[0] = xi
         _check_finite(energies[:1], 0, times)
@@ -389,10 +416,10 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     v^T J x0 / v^T J v, corrected REFINE_STEPS times from the residual of
     x(0) = x0 by one matrix-vector product each, no solve.  The samples
     are one product of the real basis [Re v, -Im v] with the phases
-    c e^(lam t), which, like the corrections, holds scipy's OpenBLAS to one
-    thread, so the trace is the same at every BLAS thread count.  Phases
-    below PHASE_FLOOR are zero, and a block of samples skips the roots
-    whose phases are below it throughout.  The energy is (h/2)|x|^2 and the
+    c e^(lam t), which, like the corrections, holds the BLAS to one thread,
+    so the trace is the same at every BLAS thread count.  Phases below
+    PHASE_FLOOR are zero, and a block of samples skips the roots whose
+    phases are below it throughout.  The energy is (h/2)|x|^2 and the
     tip rates come from the closed-form tip rows of the basis.  A start
     that the corrections leave more than START_RTOL from x0 is warned about.
     With a gain above zero, a rise above ENERGY_FLOOR_ULPS * E(0) between
@@ -450,11 +477,16 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
         # ~eps ||A_E||, and the projections alone leave x(0) 1e-11 to 1e-7
         # from x0
         coeff = weight * np.einsum("rm,m->r", left, x0)
+        # x_start = W coeff as floats: x(0) and its tip rates
+        x_start = np.empty(W.shape[0])
+        expand = _dgemv.bind(b"N", *W.shape, 1.0, W, lead(W), coeff.view(float), 1,
+                             0.0, x_start, 1)
         for _ in range(REFINE_STEPS):
-            r = x0 - dgemv(1.0, W, coeff.view(float))[:4 * n]
-            coeff += weight * np.einsum("rm,m->r", left, r)
+            expand()
+            coeff += weight * np.einsum("rm,m->r", left, x0 - x_start[:4 * n])
         del left
-        off = np.linalg.norm(x0 - dgemv(1.0, W, coeff.view(float))[:4 * n])
+        expand()
+        off = np.linalg.norm(x0 - x_start[:4 * n])
         if not (np.all(np.isfinite(coeff.view(float))) and np.all(np.isfinite(W))):
             raise RuntimeError("eigenvectors of the generator are singular or non-finite")
 
@@ -462,13 +494,24 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
         # exp(lam (i K dt)) * exp(lam (j dt)); one block of K samples at a
         # time keeps the complex phases small.
         fine = np.exp(np.outer(np.arange(K) * dt, lam)) * coeff
+        # the product is bound once: a block's phases go to the first rows
+        # and columns of `phases`, its samples to z from row `start`
+        phases = np.empty((K, lam.size), dtype=complex)
+        cols, depth, out = _dgemm.integer(), _dgemm.integer(), ctypes.c_void_p()
+        products = _dgemm.bind(b"N", b"N", W.shape[0], cols, depth, 1.0, W, lead(W),
+                               phases.view(float).T, 2 * lam.size, 0.0, out, z.shape[1])
+        first_row = z.ctypes.data
         for start in range(0, samples, K):
             rows = slice(start, min(start + K, samples))
             alive = np.flatnonzero(np.abs(coeff) * np.exp(lam.real * (start * dt)) >= PHASE_FLOOR)
             m = alive[-1] + 1 if alive.size else 1
-            p = (np.exp(lam[:m] * (start * dt)) * fine[:rows.stop - start, :m]).view(float)
+            p = phases[:rows.stop - start, :m]
+            np.multiply(np.exp(lam[:m] * (start * dt)), fine[:rows.stop - start, :m], out=p)
+            p = p.view(float)
             p[np.abs(p) < PHASE_FLOOR] = 0.0
-            dgemm(1.0, W[:, :2 * m], p.T, c=z[rows].T, overwrite_c=1)
+            cols.value, depth.value = rows.stop - start, 2 * m
+            out.value = first_row + start * z.strides[0]
+            products()
     del W
     if off > START_RTOL * np.linalg.norm(x0):
         warnings.warn(

@@ -5,8 +5,8 @@ semi-discrete system actually delivers; sweeping it over the amplifier plane
 maps where the certified design intervals sit relative to the truly optimal
 gains.  Every eigensolve runs on A_E, the generator in energy coordinates
 (see `piezobeam.orfd`), with dense LAPACK routines (the generator is small;
-sparse iteration buys nothing here) called natively (`piezobeam._lapack`):
-one Hessenberg reduction (dgehrd) and the double-shift QR iteration
+sparse iteration buys nothing here) called natively in numpy's BLAS library
+(`piezobeam._lapack`): one Hessenberg reduction (dgehrd) and the double-shift QR iteration
 (dlahqr).  The reduction runs on a copy of A_E with p_dot(L), its last
 coordinate, moved to the front (`orfd._tip_first`).  The gains enter A_E
 only as the two tip rates on its diagonal, and dgehrd never reads entry
@@ -40,7 +40,6 @@ spectra, sweeps and modal traces share.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import one_blas_thread, routine, with_workspace
+from ._lapack import Routine, one_blas_thread, with_workspace
 from .errors import DomainError
 from .materials import MaterialParams
 from .orfd import OrfdSystem, _tip_first, build_system
@@ -56,8 +55,8 @@ from .orfd import OrfdSystem, _tip_first, build_system
 RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to max(||G||_2, ||D||_2)
 N_CERTIFY = 10  # dominant eigenvalues certified per spectrum, conjugates once
 
-_dgehrd = routine("dgehrd")
-_dlahqr = routine("dlahqr")
+_dgehrd = Routine("dgehrd")
+_dlahqr = Routine("dlahqr", failure="Eigenvalues did not converge")
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,9 @@ class SpectrumGrid:
 
 def _hessenberg(A: np.ndarray) -> np.ndarray:
     """hq with Q H Q^T = `_tip_first(A)`, by dgehrd (ilo = 1, ihi = n) with
-    scipy's OpenBLAS held to one thread.  hq is that copy in Fortran order,
-    with H on and above the subdiagonal and the reflectors of Q below it.
-    Balancing (dgebal) would leave A_E unchanged: A_E^T = J A_E J with
+    the BLAS held to one thread (`one_blas_thread`).  hq is that copy in
+    Fortran order, with H on and above the subdiagonal and the reflectors
+    of Q below it.  Balancing (dgebal) would leave A_E unchanged: A_E^T = J A_E J with
     J = diag(I, -I) gives every row the norm of its column, and no row is
     zero off the diagonal (tests/test_orfd.py).  Non-finite input raises
     np.linalg.LinAlgError.
@@ -107,15 +106,8 @@ def _hessenberg(A: np.ndarray) -> np.ndarray:
     hq = _tip_first(A)
     n = hq.shape[0]
     tau = np.empty(max(n - 1, 1))
-    info = ctypes.c_int(0)
-
-    def call(work: np.ndarray, lwork: int) -> None:
-        _dgehrd(n, 1, n, hq, n, tau, work, lwork, info)
-        if info.value:
-            raise np.linalg.LinAlgError(f"dgehrd rejected argument {-info.value}")
-
     with one_blas_thread():
-        with_workspace(call)
+        with_workspace(lambda work, lwork: _dgehrd(n, 1, n, hq, n, tau, work, lwork))
     return hq
 
 
@@ -132,13 +124,8 @@ def _hessenberg_eigvals(h: np.ndarray) -> np.ndarray:
     """
     n = h.shape[0]
     wr, wi = np.empty(n), np.empty(n)
-    info = ctypes.c_int(0)
     # WANTT = WANTZ = false: Z, ILOZ and IHIZ are not referenced
-    _dlahqr(0, 0, n, 1, n, h, n, wr, wi, 1, n, np.empty(1), 1, info)
-    if info.value > 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    if info.value < 0:
-        raise np.linalg.LinAlgError(f"dlahqr rejected argument {-info.value}")
+    _dlahqr(False, False, n, 1, n, h, n, wr, wi, 1, n, np.empty(1), 1)
     lam = np.empty(n, dtype=complex)
     lam.real, lam.imag = wr, wi
     return lam
@@ -185,9 +172,11 @@ def _secular(sys: OrfdSystem, lam: np.ndarray, k: np.ndarray | None = None) -> t
     delta = lam - p and p = i sigma_k, exact as lam nears the pole.
     w = lam / den with w[r, k_r] = 0, and s0 holds the entries 00, 01, 11
     of S0 = I + D^1/2 R(lam) D^1/2 without term k.  The sums over the modes
-    here and in the callers are einsum loops, not numpy products: numpy's
-    own OpenBLAS, which `one_blas_thread` does not hold, rounds them
-    differently at another thread count once there are ~100 roots.
+    here and in the callers are einsum loops, not numpy products, which
+    would add in another order and move the certificate and the modal
+    eigenvectors by an ulp here and there; these run outside
+    `one_blas_thread`, where the products' blocked sums would also change
+    with the BLAS thread count once there are ~100 roots.
     """
     m = sys.modes
     sigma = m.sigma.ravel()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from piezobeam import cli, orfd, simulate, spectral
+from piezobeam import _lapack, cli, orfd, simulate, spectral
 from piezobeam.cli import CSV_BLOCK_ROWS, TABLE3_XI1, TABLE3_XI2, _write_csv, run
 from piezobeam.design import amplifier_intervals, epsilon_bounds
 from piezobeam.materials import (
@@ -72,6 +72,12 @@ def test_design_json_matches_library(tmp_path, capsys):
     manifest = json.loads((tmp_path / "design.manifest.json").read_text())
     assert manifest["command"] == "design"
     assert manifest["params"]["rho"] == 6000.0
+    # the library every BLAS and LAPACK call runs on, as the run bound it
+    blas = manifest["blas"]
+    assert blas == _lapack.config()
+    assert set(blas) == {"library", "config", "integer_bits", "held_threads"}
+    assert Path(blas["library"]).is_file() and blas["integer_bits"] in (32, 64)
+    assert blas["held_threads"] == (None if _lapack.thread_count() is None else 1)
 
 
 def test_design_rejects_epsilon_outside_bounds(tmp_path, capsys):
@@ -421,13 +427,13 @@ def test_midpoint_span_off_the_step_grid_exits_one(tmp_path, capsys):
 def test_failed_eigensolve_exits_one(tmp_path, capsys, monkeypatch):
     # dlahqr reporting INFO > 0 (an eigenvalue that did not converge) is one
     # error line and exit 1, not a traceback
-    real_dlahqr = spectral._dlahqr
+    real_dlahqr = spectral._dlahqr.fn
 
     def failing(*args):
         real_dlahqr(*args)
-        args[-1].value = 3
+        args[-1]._obj.value = 3  # INFO, passed by reference
 
-    monkeypatch.setattr(spectral, "_dlahqr", failing)
+    monkeypatch.setattr(spectral._dlahqr, "fn", failing)
     code, out, err = _run(capsys, "spectrum", "--N", "8", "--outdir", str(tmp_path))
     assert code == 1 and out == ""
     assert err == "error: Eigenvalues did not converge\n"
@@ -493,3 +499,23 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert set(json.loads(proc.stdout)) >= {"sigma_max", "c1", "c2"}
+
+
+def test_the_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: every BLAS and LAPACK call goes to
+    # numpy's library, so importing the CLI and running a design and a
+    # spectrum loads no scipy module
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from piezobeam import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.run(['design', '--outdir', out]) == 0\n"
+        "assert cli.run(['spectrum', '--N', '8', '--out', out + '/s.json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

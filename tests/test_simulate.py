@@ -213,35 +213,35 @@ def test_keep_states_does_not_change_the_run(params, N, xi1, xi2, dt):
 
 @quiet_dt
 def test_midpoint_blas_calls_per_block_and_per_step(toy, monkeypatch):
-    # up to BLOCK_NODES nodes a run makes one zgemm and one triangular solve
-    # per block of BLOCK_STEPS steps, and no matrix-vector product; above,
-    # one dgemv gives a step's midpoint tip rates and one adds the rank-2
-    # gain correction.  Another product or solve would show here before it
-    # shows in the benchmark
+    # up to BLOCK_NODES nodes a run makes one zgemm, one triangular solve
+    # and one dgemm per block of BLOCK_STEPS steps, and no matrix-vector
+    # product; above, one dgemv gives a step's midpoint tip rates, one adds
+    # the rank-2 gain correction and one ddot gives its energy.  Each run
+    # takes one more ddot for the initial energy.  Another product or solve
+    # would show here before it shows in the benchmark
     calls = Counter()
 
-    def counted(name):
-        wrapped = getattr(simulate, name)
-
-        def call(*args, **kwargs):
+    def counted(name, wrapped):
+        def call(*args):
             calls[name] += 1
-            return wrapped(*args, **kwargs)
+            return wrapped(*args)
         return call
 
-    for name in ("zgemm", "dtrsv", "dgemv"):
-        monkeypatch.setattr(simulate, name, counted(name))
+    for name in ("zgemm", "dtrsv", "dgemm", "dgemv", "ddot"):
+        routine = getattr(simulate, "_" + name)
+        monkeypatch.setattr(routine, "fn", counted(name, routine.fn))
     B = simulate.BLOCK_STEPS
     steps = 3 * B + 5
     res = integrate(build_system(toy, 6, 0.3, 0.4), hat_initial_condition(toy, 6, 0.5),
                     steps * 1e-3, 1e-3)
     assert res.trace.energies.shape == (steps + 1,)
-    assert calls == {"zgemm": 4, "dtrsv": 4}
+    assert calls == {"zgemm": 4, "dtrsv": 4, "dgemm": 4, "ddot": 1}
     calls.clear()
     N = simulate.BLOCK_NODES
     res = integrate(build_system(toy, N, 0.3, 0.4), hat_initial_condition(toy, N, 0.5),
                     50e-6, 1e-6)
     assert res.trace.energies.shape == (51,)
-    assert calls == {"dgemv": 100}
+    assert calls == {"dgemv": 100, "ddot": 51}
 
 
 def _dense_midpoint(sys, dt):
@@ -721,7 +721,7 @@ def test_flushing_underflowed_phases_keeps_the_energies(table1, monkeypatch):
 def test_modal_trace_does_not_depend_on_blas_threads():
     # the designed pair, and an out-of-box pair of the point_check benchmark
     # (seed 2); the eigenvalue reduction, the coefficient corrections and
-    # the sample products all run on scipy's OpenBLAS held to one thread, and
+    # the sample products all run on numpy's OpenBLAS held to one thread, and
     # the sums behind the closed-form vectors are einsum loops, so the figures
     # agree bit for bit
     code = (

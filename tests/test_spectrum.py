@@ -189,14 +189,15 @@ def test_newton_step_lands_on_the_oracle(table1, key, rtol):
 def test_a_failed_qr_iteration_raises(table1, monkeypatch, info, message):
     # dlahqr reports an eigenvalue it could not converge through INFO > 0,
     # a bad argument through INFO < 0: spectral_abscissa and spectrum raise,
-    # and a sweep leaves the cell NaN and lists it
-    real_dlahqr = spectral._dlahqr
+    # and a sweep leaves the cell NaN and lists it.  INFO is the last
+    # argument, passed by reference.
+    real_dlahqr = spectral._dlahqr.fn
 
     def failing(*args):
         real_dlahqr(*args)
-        args[-1].value = info
+        args[-1]._obj.value = info
 
-    monkeypatch.setattr(spectral, "_dlahqr", failing)
+    monkeypatch.setattr(spectral._dlahqr, "fn", failing)
     sys = build_system(table1, 8, 1e6, 1e9)
     for solve in (spectral_abscissa, spectrum):
         with pytest.raises(np.linalg.LinAlgError, match=message):
@@ -393,10 +394,10 @@ def test_sweep_pins_blas_to_one_thread_and_restores_it():
         "import json, threading\n"
         "import numpy as np\n"
         "from piezobeam import TABLE1\n"
-        "from piezobeam._lapack import scipy_openblas\n"
+        "from piezobeam._lapack import thread_count\n"
         "from piezobeam.spectral import sweep\n"
-        "lib = scipy_openblas()\n"
-        "before = lib.scipy_openblas_get_num_threads()\n"
+        "get, _ = thread_count()\n"
+        "before = get()\n"
         "axis = np.logspace(-8, 12, 5)\n"
         "grids = [None] * 3\n"
         "def run(k):\n"
@@ -408,7 +409,7 @@ def test_sweep_pins_blas_to_one_thread_and_restores_it():
         "    t.join(timeout=120)\n"
         "assert not any(t.is_alive() for t in threads)\n"
         "print(json.dumps({'grids': grids, 'before': before,\n"
-        "                  'after': lib.scipy_openblas_get_num_threads()}))\n"
+        "                  'after': get()}))\n"
     )
     grids = []
     for threads, run in zip(BLAS_THREADS, run_under_blas_threads(code)):
@@ -418,10 +419,10 @@ def test_sweep_pins_blas_to_one_thread_and_restores_it():
 
 
 def test_without_a_bundled_openblas_the_hold_changes_nothing(table1, monkeypatch):
-    # a scipy built on another BLAS exports no scipy_openblas_* functions:
-    # the hold then only runs its body, and the spectrum is the same
+    # a numpy built on another BLAS exports no OpenBLAS thread-count
+    # functions: the hold then only runs its body, and the spectrum is the same
     held = spectrum(build_system(table1, 16, 1e6, 1e9))
-    monkeypatch.setattr(_lapack, "scipy_openblas", lambda: None)
+    monkeypatch.setattr(_lapack, "thread_count", lambda: None)
     ran = False
     with _lapack.one_blas_thread():
         ran = True

@@ -14,8 +14,8 @@ Two propagators:
   turn table, one triangular solve for the block's midpoint tip rates and
   a few elementwise passes (`_step_blocks`); above BLOCK_NODES nodes, where
   those passes cost more than the calls they save, a step is two
-  matrix-vector products, one complex multiply and one dot product for the
-  sample's energy (`_step_one`).  The tip rates come from the midpoint tip
+  matrix-vector products, one complex multiply, one add and one dot product
+  for the sample's energy (`_step_one`).  The tip rates come from the midpoint tip
   of each step, the states and final state go back to nodes after the run
   by FFTs.  The scheme keeps the discrete energy at zero amplifiers to
   roundoff, without a step matrix whose rounding makes it drift, and keeps
@@ -85,15 +85,15 @@ STATE_BLOCK = 64
 # Midpoint steps per block (`_step_blocks`) at up to BLOCK_NODES nodes; a
 # larger mesh takes one step at a time (`_step_one`).  A block makes ~6
 # elementwise passes per step over its B x 2(N+1) arrays, where a single
-# step makes 4 calls, so the calls it saves stop paying near 300 nodes.
-# Median integrate time per step, blocks against single steps, BLAS pinned,
-# 2-vCPU Xeon: 2.3 against 6.0 us at N=80, 3.7 against 6.1 us at N=160,
-# 7.8 against 8.2 us at N=255, 10.6 against 8.5 us at N=400 (BENCH_23.json).
+# step makes 5 calls, so the calls it saves stop paying near 200 nodes.
+# Median integrate time per step over 4000 steps at (1e6, 1e9), blocks
+# against single steps, BLAS pinned, 2-vCPU Xeon: 1.7 against 3.2 us at
+# N=80, 3.4 against 3.7 us at N=160, 3.9 against 4.0 us at N=190, 4.1
+# against 4.0 us at N=200, 5.3 against 4.3 us at N=255.
 BLOCK_STEPS = 64
-BLOCK_NODES = 256
+BLOCK_NODES = 200
 
-_ddot, _dgemv, _dgemm, _zgemm, _dtrsv = (
-    Routine(name) for name in ("ddot", "dgemv", "dgemm", "zgemm", "dtrsv"))
+_dtrsv = Routine("dtrsv")
 
 
 @dataclass(frozen=True)
@@ -198,24 +198,18 @@ def _check_finite(energies: np.ndarray, first: int, times: np.ndarray) -> None:
 
 
 def _step_one(xi, mu, P, V, half_h, energies, tips, kept, times) -> None:
-    """Midpoint steps one at a time from xi, in place: one dgemv for the
-    midpoint tip rates tau, one multiply by mu, one dgemv for the gain
-    correction and one ddot for the sample's energy.  The three calls are
-    bound once, and tau, the address of the step's row of tips, moves."""
+    """Midpoint steps one at a time from xi, in place: one matrix-vector
+    product for the midpoint tip rates tau, into the step's row of tips,
+    one multiply by mu, one product for the gain correction and its add
+    (numpy's product cannot accumulate into x), and one dot product for
+    the sample's energy."""
     x = xi.view(float)
-    # P and V transposed are Fortran-order views: dgemv reads them in place
-    Pt, Vt = P.T, V.T
-    tau = ctypes.c_void_p()
-    midpoint_tips = _dgemv.bind(b"T", *Pt.shape, 1.0, Pt, lead(Pt), x, 1, 0.0, tau, 1)
-    correct = _dgemv.bind(b"N", *Vt.shape, 1.0, Vt, lead(Vt), tau, 1, 1.0, x, 1)
-    energy = _ddot.bind(x.size, x, 1, x, 1)
-    row, stride = tips.ctypes.data, tips.strides[0]
+    update = np.empty_like(x)
     for k in range(1, energies.size):
-        tau.value = row + k * stride
-        midpoint_tips()
+        tau = np.dot(P, x, out=tips[k])
         np.multiply(xi, mu, out=xi)
-        correct()
-        energies[k] = e = half_h * energy()
+        x += np.dot(tau, V, out=update)
+        energies[k] = e = half_h * np.dot(x, x)
         if kept is not None:
             kept[k] = xi
         if not math.isfinite(e):
@@ -232,10 +226,12 @@ def _step_blocks(xi, mu, P, V, block, half_h, energies, tips, kept, times) -> No
         tau_m = Re(W mu^m xi_0) + sum_{j<m} K_{m-1-j} tau_j,
         K_l   = Re(W diag(mu^l) V~^T).
 
-    Per block one zgemm with the turn table mu^m gives the first terms, one
-    dtrsv solves the unit lower-triangular block-Toeplitz system for the
-    tau, a dgemm and a cumulative sum give the rotating-frame sums, and one
-    multiply by the table turns them into the states.  The table is
+    Per block one complex product with the turn table mu^m gives the first
+    terms, one triangular solve (dtrsv, the one bound call) gives the tau
+    of the unit lower-triangular block-Toeplitz system, a product and a
+    cumulative sum give the rotating-frame sums, and one multiply by the
+    table turns them into the states.  numpy issues the products as zgemm
+    and dgemm on the library `one_blas_thread` holds.  The table is
     exp(i m arg mu), so |mu^m| = 1 to rounding at every m, and the next
     block starts from the last state as recorded.
     """
@@ -245,43 +241,29 @@ def _step_blocks(xi, mu, P, V, block, half_h, energies, tips, kept, times) -> No
     back = turn[1:].conj()
     K = np.einsum("lk,ak,bk->lab", turn[:block - 1], W, Vc).real
     # the strictly lower part of the tip matrix, negated: dtrsv with a unit
-    # diagonal solves (I - L) tau = a on it
+    # diagonal solves (I - L) tau = a on its leading 2b x 2b block
     m, j = np.tril_indices(block, -1)
     lower = np.zeros((block, 2, block, 2))
     lower[m, :, j, :] = -K[m - 1 - j]
     lower = np.asfortranarray(lower.reshape(2 * block, 2 * block))
-    Wxi = np.empty((xi.size, 2), dtype=complex, order="F")
-    first = np.empty((2, block), dtype=complex, order="F")
-    work = np.zeros((block, xi.size), dtype=complex)
-    Vt = V.T  # Fortran order: dgemm reads it in place
-    c = work.view(float).T
+    Wxi = np.empty((2, xi.size), dtype=complex)
+    first = np.empty((block, 2), dtype=complex)
+    work = np.empty((block, xi.size), dtype=complex)
+    # the solve is bound once; a block sets its order and its rows of tips
+    order, tau = _dtrsv.integer(), ctypes.c_void_p()
+    solve = _dtrsv.bind(b"L", b"N", b"U", order, lower, lead(lower), tau, 1)
     row, stride = tips.ctypes.data, tips.strides[0]
-    tau = ctypes.c_void_p()  # the block's rows of tips
-
-    def bound(b: int) -> tuple:
-        """The calls of a block of b steps, bound once: W mu^m xi_0 into
-        `first` (zgemm), the solve for tau (dtrsv) and V^T tau into `work`
-        (dgemm)."""
-        table = turn[:b].T
-        return (_zgemm.bind(b"T", b"N", 2, b, xi.size, 1.0, Wxi, lead(Wxi), table, lead(table),
-                            0.0, first, lead(first)),
-                _dtrsv.bind(b"L", b"N", b"U", 2 * b, lower, lead(lower), tau, 1),
-                _dgemm.bind(b"N", b"N", Vt.shape[0], b, 2, 1.0, Vt, lead(Vt), tau, 2,
-                            0.0, c, lead(c)))
-
-    full = bound(block)
     steps = energies.size - 1
     for start in range(1, steps + 1, block):
         b = min(block, steps + 1 - start)
         rows = slice(start, start + b)
-        first_terms, solve, products = full if b == block else bound(b)
-        np.multiply(W, xi, out=Wxi.T)
-        first_terms()
-        tips[rows] = first[:, :b].real.T
-        tau.value = row + start * stride
+        np.multiply(W, xi, out=Wxi)
+        np.matmul(turn[:b], Wxi.T, out=first[:b])
+        tips[rows] = first[:b].real
+        order.value, tau.value = 2 * b, row + start * stride
         solve()
-        products()
         sums = work[:b]
+        np.matmul(tips[rows], V, out=sums.view(float))
         np.multiply(sums, back[:b], out=sums)
         sums[0] += xi
         np.cumsum(sums, axis=0, out=sums)
@@ -314,12 +296,12 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
 
     Steps in the mode coordinates xi (`_midpoint_operators`).  Up to
     BLOCK_NODES nodes it takes BLOCK_STEPS steps per block (`_step_blocks`):
-    a zgemm, a triangular solve for the block's midpoint tip rates and a few
-    elementwise passes over its states, and the energies (h/2)|xi|^2 from
-    those states; a larger mesh takes one step at a time (`_step_one`).
-    Every BLAS call runs with the BLAS held to one thread
-    (`_lapack.one_blas_thread`), so the trace does not depend on the BLAS
-    thread count.  The tip rates follow tip_k+1 = 2 tau_k - tip_k from the
+    two matrix products, a triangular solve for the block's midpoint tip
+    rates and a few elementwise passes over its states, and the energies
+    (h/2)|xi|^2 from those states; a larger mesh takes one step at a time
+    (`_step_one`).  Every BLAS call, numpy's products included, runs with
+    the BLAS held to one thread (`_lapack.one_blas_thread`), so the trace
+    does not depend on the BLAS thread count.  The tip rates follow tip_k+1 = 2 tau_k - tip_k from the
     exact initial ones and the midpoint tips tau_k; with keep_states the
     modes of every sample are kept.  The states and the final state are mapped back to nodes after
     the run (`OrfdSystem.from_modes`) and take those tip rates, so the tip
@@ -374,9 +356,10 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     kept = np.empty((n_steps + 1, 2 * n), dtype=complex) if keep_states else None
 
     half_h = 0.5 * sys.h
-    with one_blas_thread():
+    # a state that overflows aborts the run at its step (`_check_finite`)
+    with one_blas_thread(), np.errstate(over="ignore"):
         x = xi.view(float)
-        energies[0] = half_h * _ddot(x.size, x, 1, x, 1)
+        energies[0] = half_h * np.dot(x, x)
         if kept is not None:
             kept[0] = xi
         _check_finite(energies[:1], 0, times)
@@ -462,7 +445,7 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
     V[4 * n:] = (2.0 * math.sqrt(n) / np.sqrt(np.diag(sys.C1)))[:, None] * tips.T
     del a, b, tips
     # x(t) = Re(V p) = [Re v_j, -Im v_j]_j (p as floats): Fortran order, so
-    # dgemm reads every prefix of its columns in place
+    # the sample product reads every prefix of its columns in place
     W = np.asfortranarray(V.conj().view(float))
     # the left eigenvectors (J v)^T, and 1 / v^T J v with each complex pair's 2
     left = V[:4 * n].T * np.tile([1.0, -1.0], 2 * n)
@@ -478,14 +461,11 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
         # from x0
         coeff = weight * np.einsum("rm,m->r", left, x0)
         # x_start = W coeff as floats: x(0) and its tip rates
-        x_start = np.empty(W.shape[0])
-        expand = _dgemv.bind(b"N", *W.shape, 1.0, W, lead(W), coeff.view(float), 1,
-                             0.0, x_start, 1)
         for _ in range(REFINE_STEPS):
-            expand()
+            x_start = np.dot(W, coeff.view(float))
             coeff += weight * np.einsum("rm,m->r", left, x0 - x_start[:4 * n])
         del left
-        expand()
+        x_start = np.dot(W, coeff.view(float))
         off = np.linalg.norm(x0 - x_start[:4 * n])
         if not (np.all(np.isfinite(coeff.view(float))) and np.all(np.isfinite(W))):
             raise RuntimeError("eigenvectors of the generator are singular or non-finite")
@@ -494,24 +474,13 @@ def modal_trace(sys: OrfdSystem, state0: np.ndarray, T: float,
         # exp(lam (i K dt)) * exp(lam (j dt)); one block of K samples at a
         # time keeps the complex phases small.
         fine = np.exp(np.outer(np.arange(K) * dt, lam)) * coeff
-        # the product is bound once: a block's phases go to the first rows
-        # and columns of `phases`, its samples to z from row `start`
-        phases = np.empty((K, lam.size), dtype=complex)
-        cols, depth, out = _dgemm.integer(), _dgemm.integer(), ctypes.c_void_p()
-        products = _dgemm.bind(b"N", b"N", W.shape[0], cols, depth, 1.0, W, lead(W),
-                               phases.view(float).T, 2 * lam.size, 0.0, out, z.shape[1])
-        first_row = z.ctypes.data
         for start in range(0, samples, K):
             rows = slice(start, min(start + K, samples))
             alive = np.flatnonzero(np.abs(coeff) * np.exp(lam.real * (start * dt)) >= PHASE_FLOOR)
             m = alive[-1] + 1 if alive.size else 1
-            p = phases[:rows.stop - start, :m]
-            np.multiply(np.exp(lam[:m] * (start * dt)), fine[:rows.stop - start, :m], out=p)
-            p = p.view(float)
+            p = (np.exp(lam[:m] * (start * dt)) * fine[:rows.stop - start, :m]).view(float)
             p[np.abs(p) < PHASE_FLOOR] = 0.0
-            cols.value, depth.value = rows.stop - start, 2 * m
-            out.value = first_row + start * z.strides[0]
-            products()
+            np.matmul(p, W[:, :2 * m].T, out=z[rows])
     del W
     if off > START_RTOL * np.linalg.norm(x0):
         warnings.warn(

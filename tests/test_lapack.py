@@ -75,76 +75,24 @@ def test_mesh_factor_matches_scipy_dtbtrs(table1, N):
     _close(sys.G_factors[1], want)
 
 
-@pytest.fixture
-def step_operators(table1):
-    sys = build_system(table1, 300, 1e6, 1e9)
-    return simulate._midpoint_operators(sys, 1e-9)
-
-
-def test_single_step_products_match_scipy(step_operators):
-    # `_step_one`: dgemv with the Fortran views P.T (transposed) and V.T
-    # (beta = 1, in place), the tip rates by address, and ddot
-    _, P, V = step_operators
-    x = np.random.default_rng(0).standard_normal(P.shape[1])
-    tips = np.zeros((3, 2))
-    tau = ctypes.c_void_p(tips.ctypes.data + tips.strides[0])
-    simulate._dgemv.bind(b"T", *P.T.shape, 1.0, P.T, lead(P.T), x, 1, 0.0, tau, 1)()
-    _close(tips[1], sblas.dgemv(1.0, P.T, x, trans=1))
-    assert not tips[[0, 2]].any()
-    y = x.copy()
-    simulate._dgemv.bind(b"N", *V.T.shape, 1.0, V.T, lead(V.T), tau, 1, 1.0, y, 1)()
-    _close(y, sblas.dgemv(1.0, V.T, tips[1], beta=1.0, y=x))
-    np.testing.assert_allclose(simulate._ddot(x.size, x, 1, x, 1), sblas.ddot(x, x),
-                               rtol=RTOL)
-
-
 @pytest.mark.parametrize("b", [64, 5])  # a full block and the last, partial one
-def test_block_products_match_scipy(step_operators, b):
-    # `_step_blocks`: zgemm of the Fortran Wxi against turn[:b].T, dtrsv on
-    # the leading 2b x 2b block of a 2B x 2B matrix (lda != rows), and
-    # dgemm from tau.T into the float view of the work rows
-    _, P, V = step_operators
+def test_block_products_match_scipy(b):
+    # `_step_blocks`: its products are numpy's; the one bound call is dtrsv
+    # on the leading 2b x 2b block of a 2B x 2B matrix (lda != rows), its
+    # order given as a bound integer, the tips by address
     rng = np.random.default_rng(b)
-    m, B = P.shape[1] // 2, 64
-    Wxi = np.asfortranarray(rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)))
-    turn = np.exp(1j * rng.standard_normal((B + 1, m)))
-    first = np.empty((2, B), dtype=complex, order="F")
-    table = turn[:b].T
-    simulate._zgemm(b"T", b"N", 2, b, m, 1.0, Wxi, lead(Wxi), table, lead(table), 0.0,
-                    first, lead(first))
-    _close(first[:, :b], sblas.zgemm(1.0, Wxi, table, trans_a=1))
-
+    B = 64
     lower = np.asfortranarray(np.tril(rng.standard_normal((2 * B, 2 * B)), -1) * 0.1)
-    x = rng.standard_normal(2 * b)
-    want = sblas.dtrsv(lower[:2 * b, :2 * b], x, lower=1, diag=1)
-    simulate._dtrsv(b"L", b"N", b"U", 2 * b, lower, lead(lower), x, 1)
-    _close(x, want)
-
-    tau = rng.standard_normal((b, 2))
-    work = np.zeros((B, m), dtype=complex)
-    c = work.view(float).T
-    simulate._dgemm(b"N", b"N", V.T.shape[0], b, 2, 1.0, V.T, lead(V.T), tau.T, 2, 0.0,
-                    c, lead(c))
-    _close(c[:, :b], sblas.dgemm(1.0, V.T, tau.T))
-    assert not work[b:].any()
-
-
-def test_modal_sample_product_matches_scipy():
-    # `modal_trace`: W (Fortran) times the leading 2m x rows block of the
-    # phase buffer (ldb = its full width), into z[rows].T by address, with
-    # the moving sizes and address given between calls
-    rng = np.random.default_rng(1)
-    W = np.asfortranarray(rng.standard_normal((326, 40)))
-    z = np.zeros((50, 326))
-    phases = rng.standard_normal((9, 40))
-    cols, depth, out = simulate._dgemm.integer(), simulate._dgemm.integer(), ctypes.c_void_p()
-    products = simulate._dgemm.bind(b"N", b"N", 326, cols, depth, 1.0, W, lead(W), phases.T,
-                                    40, 0.0, out, 326)
-    for start, r, k in ((0, 9, 40), (10, 7, 30), (17, 1, 2)):
-        cols.value, depth.value, out.value = r, k, z.ctypes.data + start * z.strides[0]
-        products()
-        _close(z[start:start + r], sblas.dgemm(1.0, W[:, :k], phases[:r, :k].T).T)
-    assert not z[9:10].any() and not z[18:].any()
+    tips = rng.standard_normal((2 * B + 2, 2))
+    want = sblas.dtrsv(lower[:2 * b, :2 * b], tips[1:b + 1].ravel(), lower=1, diag=1)
+    order, tau = simulate._dtrsv.integer(), ctypes.c_void_p()
+    solve = simulate._dtrsv.bind(b"L", b"N", b"U", order, lower, lead(lower), tau, 1)
+    rest = tips.copy()
+    order.value, tau.value = 2 * b, tips.ctypes.data + tips.strides[0]
+    solve()
+    _close(tips[1:b + 1].ravel(), want)
+    np.testing.assert_array_equal(np.delete(tips, np.s_[1:b + 1], 0),
+                                  np.delete(rest, np.s_[1:b + 1], 0))
 
 
 def test_info_below_zero_names_the_argument():
@@ -161,11 +109,11 @@ def test_info_above_zero_raises_the_failure():
 
 
 def test_arguments_are_checked_before_the_call():
-    x = np.ones(3)
-    with pytest.raises(TypeError, match="ddot takes 5 arguments, got 4"):
-        simulate._ddot(3, x, 1, x)
-    with pytest.raises(TypeError, match="ddot takes float64 arrays, not complex128"):
-        simulate._ddot(3, x.astype(complex), 1, x, 1)
+    a, x = np.eye(3, order="F"), np.ones(3)
+    with pytest.raises(TypeError, match="dtrsv takes 8 arguments, got 7"):
+        simulate._dtrsv(b"L", b"N", b"U", 3, a, 3, x)
+    with pytest.raises(TypeError, match="dtrsv takes float64 arrays, not complex128"):
+        simulate._dtrsv(b"L", b"N", b"U", 3, a, 3, x.astype(complex), 1)
     with pytest.raises(ValueError, match="not a Fortran-order matrix"):
         lead(np.ones((3, 2)))
     assert lead(np.ones((2, 3)).T) == 3 and lead(np.ones((4, 1))) == 4
@@ -173,6 +121,6 @@ def test_arguments_are_checked_before_the_call():
 
 def test_a_blas_without_the_routine_fails_the_import(monkeypatch):
     monkeypatch.setattr(_lapack, "_SCHEMES", (("missing_{}_", "missing_{}", ctypes.c_int),))
-    with pytest.raises(ImportError, match=r"numpy's BLAS \(.*\) exports no dgemm"):
-        Routine("dgemm")
+    with pytest.raises(ImportError, match=r"numpy's BLAS \(.*\) exports no dtrsv"):
+        Routine("dtrsv")
 

@@ -11,18 +11,17 @@ last 32-bit ones.  A library that exports none of the names fails the
 import with ImportError.  A ctypes call releases the GIL for the whole
 routine, so the eigensolves of a sweep run in parallel on its thread pool.
 
-Those are dgehrd and dlahqr for `spectral`, dtbtrs for `orfd` and dtrsv
-for `simulate`; every product is numpy's own, which runs on the same
-library, so one library serves the process.  Some calls run threaded
-BLAS, whose blocked products round differently at another thread count:
-dgehrd in `spectral`, and numpy's products in the coefficient corrections
-and samples of `simulate.modal_trace` and the midpoint steps of
-`simulate.integrate`.  Each runs inside `one_blas_thread`, which holds the
-library to one thread through OpenBLAS's thread-count functions, found
-under the same names, and then restores its count, so every result is the
-same at every BLAS thread count; the QR iteration (dlahqr) uses no threaded
-BLAS.  A BLAS without those functions is not held, and the hold changes
-nothing.
+Those are dgehrd and dlahqr for `spectral` and dtrsv for `simulate`; every
+product is numpy's own, which runs on the same library, so one library
+serves the process.  Some calls run threaded BLAS, whose blocked products
+round differently at another thread count: dgehrd in `spectral`, and
+numpy's products in the coefficient corrections and samples of
+`simulate.modal_trace` and the midpoint steps of `simulate.integrate`.
+Each runs inside `one_blas_thread`, which holds the library to one thread
+through OpenBLAS's thread-count functions, found under the same names, and
+then restores its count, so every result is the same at every BLAS thread
+count; the QR iteration (dlahqr) uses no threaded BLAS.  A BLAS without
+those functions is not held, and the hold changes nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ _SIGNATURES = {
     "dtrsv": (8, 3, False),
     "dgehrd": (9, 0, True),
     "dlahqr": (14, 0, True),
-    "dtbtrs": (11, 3, True),
 }
 
 
@@ -70,16 +68,14 @@ def _symbol(name: str, column: int) -> tuple:
 class Routine:
     """BLAS or LAPACK routine `name` of numpy's library, called by reference.
 
-    Arrays pass their data pointer and must be float64; a ctypes.c_void_p
-    passes as the address it holds, which the caller may move between calls
-    of a bound routine.  bytes pass as one CHARACTER, ints and bools as an
-    INTEGER or LOGICAL of the library's width, ctypes objects by reference
-    (an `integer()` so passed to a bound routine may change between calls,
-    as a c_void_p may).  The CHARACTER lengths are appended.  No routine
-    bound takes a scalar of floating type or returns a value.  A LAPACK
-    routine takes its arguments without INFO: a negative INFO raises
-    LinAlgError naming the argument, a positive one LinAlgError(failure)
-    with INFO formatted in.
+    Arrays pass their data pointer and must be float64, bytes as one
+    CHARACTER, ints and bools as an INTEGER or LOGICAL of the library's
+    width, ctypes objects by reference (an `integer()` so passed to a bound
+    routine may change between calls).  The CHARACTER lengths are
+    appended.  No routine bound takes a scalar of floating type or returns
+    a value.  A LAPACK routine takes its arguments without INFO: a negative
+    INFO raises LinAlgError naming the argument, a positive one
+    LinAlgError(failure) with INFO formatted in.
 
     Every argument reaches ctypes as a ctypes object, which it passes
     without conversion, so no argtypes are declared: converting through
@@ -112,7 +108,7 @@ class Routine:
                 a = ctypes.byref(ctypes.c_char(a))
             elif isinstance(a, (int, np.integer)):
                 a = ctypes.byref(self.integer(a))
-            elif not isinstance(a, ctypes.c_void_p):
+            else:
                 a = ctypes.byref(a)
             converted.append(a)
         call = functools.partial(self.fn, *converted, *[ctypes.c_size_t(1)] * self.chars)
@@ -128,16 +124,6 @@ class Routine:
             raise np.linalg.LinAlgError(f"{self.name} rejected argument {-info.value}")
         if info.value > 0:
             raise np.linalg.LinAlgError(self.failure.format(info.value))
-
-
-def lead(a: np.ndarray) -> int:
-    """Leading dimension of the 2-d a read as a Fortran-order matrix; its
-    columns must be contiguous."""
-    rows, cols = a.shape
-    ld = a.strides[1] // a.itemsize if cols > 1 else max(rows, 1)
-    if (rows > 1 and a.strides[0] != a.itemsize) or ld < max(rows, 1):
-        raise ValueError(f"strides {a.strides} of shape {a.shape} are not a Fortran-order matrix")
-    return ld
 
 
 def with_workspace(call) -> None:

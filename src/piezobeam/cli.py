@@ -28,7 +28,7 @@ from .errors import DomainError
 from .materials import (TABLE1, MaterialParams, derive_constants, format_config,
                         parse_config)
 from .orfd import build_system, discrete_energy, hat_initial_condition
-from .simulate import envelope_check, fit_decay, integrate, max_energy_rise, modal_trace
+from .simulate import fit_decay, integrate, max_energy_rise, modal_trace
 from .spectral import spectrum, sweep
 
 PRESET_DIR_ENV = "PIEZOBEAM_PRESET_DIR"

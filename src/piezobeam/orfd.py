@@ -35,10 +35,11 @@ Every dense eigenvalue analysis runs on one first-order generator,
     D = L_M^-1 (diag(xi1, xi2) (x) B) L_M^-T,
 
 for the Cholesky factors C1 (x) M = L_M L_M^T and C2 (x) A_h = L_A L_A^T
-(SPD as alpha1 > 0), in the layout `_tip_first` makes.  Its basis is the
-energy coordinates z = [L_A^T y; L_M^T u], in which the energy is
-(h/2)|z|^2.  z is the basis of A_E and nothing else: `G_factors` forms the
-two Kronecker factors of G, and no state is mapped to z.  The damping is
+(SPD as alpha1 > 0); `spectral` reduces it with p_dot(L) moved to the
+front (`spectral._tip_first`).  The basis of A_E is the energy
+coordinates z = [L_A^T y; L_M^T u], in which the energy is (h/2)|z|^2.
+z is the basis of A_E and nothing else: `G_factors` forms the two
+Kronecker factors of G, and no state is mapped to z.  The damping is
 two tip rates: B = b b^T with b = e_{N+1}/sqrt(h), L_M = sqrt(C1) (x) L_m with L_m
 the lower bidiagonal Cholesky factor of M, and L_m^-1 b is nonzero only in
 its tip entry, so D is diagonal with the two nonzeros
@@ -62,14 +63,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lapack import Routine
 from .errors import DomainError
 from .materials import MaterialParams
 
 # Memory one call may take for its dense blocks and sample arrays.
 MEMORY_BYTES = 2**30
-
-_dtbtrs = Routine("dtbtrs")
 
 
 def _check_memory(need: float, what: str, fewer: str) -> None:
@@ -140,18 +138,21 @@ class OrfdSystem:
         M is tridiagonal, so L_m is lower bidiagonal, with diagonal
         (1/2) sqrt((j+1)/j) for j = 1..N, tip 1/(2 sqrt(N+1)), and subdiagonal
         (1/2) sqrt(j/(j+1)); L_Ah is (2/h) L_m with its subdiagonal negated.
-        L_m^-1 L_Ah is one banded triangular solve, LAPACK's dtbtrs in numpy's
-        BLAS library (`piezobeam._lapack`), and comes in Fortran order.
+        L_m^-1 L_Ah is forward substitution on the bidiagonal L_m, row by row
+        over all columns at once, in the operation order of BLAS's banded
+        triangular solve (dtbsv): divide a row by its diagonal entry, then
+        subtract it, times the subdiagonal entry, from the next row.  L_m
+        has a positive diagonal, so the solve cannot fail.
         """
         n = self.n_nodes
         j = np.arange(1.0, n)
         d = np.r_[0.5 * np.sqrt((j + 1.0) / j), 0.5 / np.sqrt(n)]
         e = 0.5 * np.sqrt(j / (j + 1.0))
-        # L_Ah, overwritten by L_m^-1 L_Ah (dtbtrs on the band of L_m); L_m
-        # has a positive diagonal, so the solve cannot fail
-        mesh = np.asfortranarray(np.diag(2.0 / self.h * d) + np.diag(-2.0 / self.h * e, -1))
-        _dtbtrs(b"L", b"N", b"N", n, 1, n, np.array([d, np.append(e, 0.0)], order="F"), 2,
-                mesh, n)
+        mesh = np.diag(2.0 / self.h * d) + np.diag(-2.0 / self.h * e, -1)  # L_Ah
+        for i in range(n - 1):
+            mesh[i] /= d[i]
+            mesh[i + 1] -= e[i] * mesh[i]
+        mesh[-1] /= d[-1]
         return np.linalg.cholesky(self.C2) / np.sqrt(np.diag(self.C1))[:, None], mesh
 
     @property
@@ -279,20 +280,6 @@ def _odd_fft(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     return np.fft.rfft(x, 4 * n)[..., 1:2 * n:2] * np.exp(
         (-0.25j * math.pi / n) * np.arange(1, 2 * n, 2))
-
-
-def _tip_first(A: np.ndarray) -> np.ndarray:
-    """A fresh Fortran-order float64 copy of the generator A with its last
-    index, p_dot(L) (`OrfdSystem.tip_index`), cycled to the front.
-
-    dgehrd never reads entry (0, 0): its first reflector acts on rows and
-    columns 1..n-1 only.  So the Hessenberg form of the copy holds the
-    p-tip rate -d_2 in H[0, 0], unmixed with the rest, and the form at
-    (xi1, xi2) is the form at (xi1, 0) with H[0, 0] = -d_2.
-    """
-    P = np.empty(A.shape, order="F")
-    P[0, 0], P[0, 1:], P[1:, 0], P[1:, 1:] = A[-1, -1], A[-1, :-1], A[:-1, -1], A[:-1, :-1]
-    return P
 
 
 def build_system(params: MaterialParams, N: int, xi1: float, xi2: float) -> OrfdSystem:

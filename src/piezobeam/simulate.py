@@ -45,14 +45,13 @@ Both take and return states as flat arrays [v, p, v_dot, p_dot] of length
 
 from __future__ import annotations
 
-import ctypes
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import Routine, lead, one_blas_thread
+from ._lapack import Routine, one_blas_thread
 from .errors import DomainError
 from .orfd import OrfdSystem, _check_memory, check_state
 from .spectral import _eigvals, _mode_eigvecs, generator_radius_estimate
@@ -240,8 +239,9 @@ def _step_blocks(xi, mu, P, V, block, half_h, energies, tips, kept, times) -> No
     turn = np.exp(1j * np.outer(np.arange(block + 1.0), np.angle(mu)))
     back = turn[1:].conj()
     K = np.einsum("lk,ak,bk->lab", turn[:block - 1], W, Vc).real
-    # the strictly lower part of the tip matrix, negated: dtrsv with a unit
-    # diagonal solves (I - L) tau = a on its leading 2b x 2b block
+    # the strictly lower part of the tip matrix, negated, in Fortran order
+    # with leading dimension 2B: dtrsv with a unit diagonal solves
+    # (I - L) tau = a on its leading 2b x 2b block
     m, j = np.tril_indices(block, -1)
     lower = np.zeros((block, 2, block, 2))
     lower[m, :, j, :] = -K[m - 1 - j]
@@ -249,21 +249,21 @@ def _step_blocks(xi, mu, P, V, block, half_h, energies, tips, kept, times) -> No
     Wxi = np.empty((2, xi.size), dtype=complex)
     first = np.empty((block, 2), dtype=complex)
     work = np.empty((block, xi.size), dtype=complex)
-    # the solve is bound once; a block sets its order and its rows of tips
-    order, tau = _dtrsv.integer(), ctypes.c_void_p()
-    solve = _dtrsv.bind(b"L", b"N", b"U", order, lower, lead(lower), tau, 1)
-    row, stride = tips.ctypes.data, tips.strides[0]
+    # the solve is bound once, in place on tau; a block sets its order
+    order, tau = _dtrsv.integer(), np.empty((block, 2))
+    solve = _dtrsv.bind(b"L", b"N", b"U", order, lower, 2 * block, tau, 1)
     steps = energies.size - 1
     for start in range(1, steps + 1, block):
         b = min(block, steps + 1 - start)
         rows = slice(start, start + b)
         np.multiply(W, xi, out=Wxi)
         np.matmul(turn[:b], Wxi.T, out=first[:b])
-        tips[rows] = first[:b].real
-        order.value, tau.value = 2 * b, row + start * stride
+        tau[:b] = first[:b].real
+        order.value = 2 * b
         solve()
+        tips[rows] = tau[:b]
         sums = work[:b]
-        np.matmul(tips[rows], V, out=sums.view(float))
+        np.matmul(tau[:b], V, out=sums.view(float))
         np.multiply(sums, back[:b], out=sums)
         sums[0] += xi
         np.cumsum(sums, axis=0, out=sums)
@@ -307,7 +307,8 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
     the run (`OrfdSystem.from_modes`) and take those tip rates, so the tip
     rates are bit for bit the tip columns of the states.
     T must be a whole number of steps dt, to 1e-9 relative; another span is
-    a DomainError that names the two nearest.  Emits a warning when dt
+    a DomainError that names the two nearest, and a T / dt that overflows
+    one that says so.  Emits a warning when dt
     leaves the fastest generator mode unresolved (dt * radius > 0.2); the
     scheme stays stable but the unresolved branch keeps its energy.  A
     non-finite initial state is a DomainError; a state that turns
@@ -318,6 +319,8 @@ def integrate(sys: OrfdSystem, state0: np.ndarray, T: float,
         raise DomainError(f"T must be positive, got {T!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive, got {dt!r}")
+    if not math.isfinite(T / dt):
+        raise DomainError(f"T={T!r} over dt={dt!r} overflows the step count; request a larger dt")
     steps = round(T / dt, 0)
     if steps < 1:
         raise DomainError(f"T={T!r} is shorter than one step dt={dt!r}")

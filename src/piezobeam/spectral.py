@@ -8,7 +8,7 @@ gains.  Every eigensolve runs on A_E, the generator in energy coordinates
 sparse iteration buys nothing here) called natively in numpy's BLAS library
 (`piezobeam._lapack`): one Hessenberg reduction (dgehrd) and the double-shift QR iteration
 (dlahqr).  The reduction runs on a copy of A_E with p_dot(L), its last
-coordinate, moved to the front (`orfd._tip_first`).  The gains enter A_E
+coordinate, moved to the front (`_tip_first`).  The gains enter A_E
 only as the two tip rates on its diagonal, and dgehrd never reads entry
 (0, 0), so the p-tip rate is not mixed into the reflectors and the form at
 (xi1, xi2) is the form at (xi1, 0) with H[0, 0] = -d_2 (`_form_eigvals`):
@@ -50,7 +50,7 @@ import numpy as np
 from ._lapack import Routine, one_blas_thread, with_workspace
 from .errors import DomainError
 from .materials import MaterialParams
-from .orfd import OrfdSystem, _tip_first, build_system
+from .orfd import OrfdSystem, build_system
 
 RESIDUAL_RTOL = 1e-8  # certificate threshold, relative to max(||G||_2, ||D||_2)
 N_CERTIFY = 10  # dominant eigenvalues certified per spectrum, conjugates once
@@ -90,6 +90,20 @@ class SpectrumGrid:
     xi2_values: np.ndarray
     max_real_grid: np.ndarray
     failures: list = field(default_factory=list)
+
+
+def _tip_first(A: np.ndarray) -> np.ndarray:
+    """A fresh Fortran-order float64 copy of the generator A with its last
+    index, p_dot(L) (`OrfdSystem.tip_index`), cycled to the front.
+
+    dgehrd never reads entry (0, 0): its first reflector acts on rows and
+    columns 1..n-1 only.  So the Hessenberg form of the copy holds the
+    p-tip rate -d_2 in H[0, 0], unmixed with the rest, and the form at
+    (xi1, xi2) is the form at (xi1, 0) with H[0, 0] = -d_2.
+    """
+    P = np.empty(A.shape, order="F")
+    P[0, 0], P[0, 1:], P[1:, 0], P[1:, 1:] = A[-1, -1], A[-1, :-1], A[:-1, -1], A[:-1, :-1]
+    return P
 
 
 def _hessenberg(A: np.ndarray) -> np.ndarray:
@@ -351,7 +365,7 @@ def sweep(params: MaterialParams, N: int, xi1_values, xi2_values,
 
     The gains enter A_E only as its two tip rates, and the tip-first
     Hessenberg form depends on xi2 only through H[0, 0]
-    (`orfd._tip_first`).  So each row reduces the generator at (xi1, 0)
+    (`_tip_first`).  So each row reduces the generator at (xi1, 0)
     once, and each cell builds its system (`build_system`, which checks the
     gains) and calls `spectral_abscissa` with that row form: one QR
     iteration per cell, bit for bit the abscissa the cell's own reduction

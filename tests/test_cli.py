@@ -424,6 +424,17 @@ def test_midpoint_span_off_the_step_grid_exits_one(tmp_path, capsys):
     assert not list(tmp_path.iterdir())  # no manifest, no output
 
 
+@pytest.mark.parametrize("T,dt", [("1", "1e-320"), ("1e308", "1e-10")])
+def test_midpoint_step_count_overflow_exits_one(tmp_path, capsys, T, dt):
+    # T / dt is infinite: an error line, not an OverflowError traceback
+    code, out, err = _run(capsys, "simulate", "--N", "8", "--T", T, "--dt", dt,
+                          "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows the step count" in err
+    assert not list(tmp_path.iterdir())  # no manifest, no output
+
+
 def test_failed_eigensolve_exits_one(tmp_path, capsys, monkeypatch):
     # dlahqr reporting INFO > 0 (an eigenvalue that did not converge) is one
     # error line and exit 1, not a traceback

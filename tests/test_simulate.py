@@ -449,7 +449,9 @@ def test_radius_estimate_mesh_norm_matches_svd():
                                   (1e-5, 1e-3),
                                   # 1e15 steps, petabytes: refused by the
                                   # memory estimate before allocating
-                                  (1e3, 1e-12)])
+                                  (1e3, 1e-12),
+                                  # T / dt overflows: no step count to round
+                                  (1.0, 1e-320), (1e308, 1e-10)])
 def test_integrate_rejects_bad_spans(toy, T, dt):
     sys = build_system(toy, 6, 0.5, 0.7)
     sv = hat_initial_condition(toy, 6, 0.5)

@@ -8,12 +8,13 @@ import pytest
 
 from piezobeam import _lapack, orfd, spectral
 from piezobeam.errors import DomainError
-from piezobeam.orfd import _tip_first, build_system
+from piezobeam.orfd import build_system
 from piezobeam.simulate import generator_radius_estimate
 from piezobeam.spectral import (
     RESIDUAL_RTOL,
     _hessenberg,
     _hessenberg_eigvals,
+    _tip_first,
     spectral_abscissa,
     spectrum,
     sweep,
